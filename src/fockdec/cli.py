@@ -423,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="dominance relation of two multipartitions")
     p.add_argument("--left", type=_mp_value, required=True,
-                   help="first multipartition; use --left=-|... when it "
-                   "starts with '-'")
+                   help="first multipartition")
     p.add_argument("--right", type=_mp_value, required=True)
     p.add_argument("--charge", type=_charge_value, default=None)
     p.add_argument("--pad", type=_nonneg_value, default=0)
@@ -433,10 +432,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may begin with '-': a negative charge, or a
+# multipartition with an empty first component
+_DASH_VALUE_OPTIONS = ("--charge", "--left", "--right", "--multipartition")
+
+
+def _join_dash_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite '--charge -2,-2' as '--charge=-2,-2'.
+
+    argparse reads a separate token that starts with '-' as an option
+    (bare negative numbers such as '-1' excepted), so without this the
+    space form of such a value is a usage error.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if (
+            token in _DASH_VALUE_OPTIONS
+            and i + 1 < len(argv)
+            and argv[i + 1].startswith("-")
+            and not argv[i + 1].startswith("--")
+        ):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

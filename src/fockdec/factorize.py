@@ -13,7 +13,7 @@ the finished matrices, including the v=1 specialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 from .canonical import CanonicalBasisSet
 from .combinatorics import (
@@ -23,7 +23,6 @@ from .combinatorics import (
     compare_dominance,
     enumerate_multipartitions,
     format_multipartition,
-    gamma_sequence,
 )
 from .laurent import ONE, ZERO, LaurentPoly, exact_div
 
@@ -58,7 +57,13 @@ class InconsistentSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """A labeled matrix of Laurent polynomials."""
+    """A labeled matrix of Laurent polynomials.
+
+    ``entries`` is the dense row-major table.  The label->index maps and
+    the per-row lists of nonzero cells are derived from it on first use
+    and cached, so a matrix that is only built and rendered never pays
+    for them.
+    """
 
     row_labels: tuple[Multipartition, ...]
     col_labels: tuple[Multipartition, ...]
@@ -71,11 +76,28 @@ class PolyMatrix:
             if len(row) != len(self.col_labels):
                 raise ValueError("column count mismatch")
 
+    @cached_property
+    def row_index(self) -> dict[Multipartition, int]:
+        return {label: i for i, label in enumerate(self.row_labels)}
+
+    @cached_property
+    def col_index(self) -> dict[Multipartition, int]:
+        return {label: j for j, label in enumerate(self.col_labels)}
+
+    @cached_property
+    def row_nonzeros(self) -> tuple[tuple[tuple[int, LaurentPoly], ...], ...]:
+        """For each row, its (column index, entry) pairs with nonzero entry."""
+        return tuple(
+            tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in self.entries
+        )
+
     def entry(self, row: Multipartition, col: Multipartition) -> LaurentPoly:
-        return self.entries[self.row_labels.index(row)][self.col_labels.index(col)]
+        return self.entries[_lookup(self.row_index, row, "row")][
+            _lookup(self.col_index, col, "column")
+        ]
 
     def column(self, col: Multipartition) -> dict[Multipartition, LaurentPoly]:
-        j = self.col_labels.index(col)
+        j = _lookup(self.col_index, col, "column")
         return {
             r: self.entries[i][j]
             for i, r in enumerate(self.row_labels)
@@ -83,24 +105,41 @@ class PolyMatrix:
         }
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product, summed over nonzero cell pairs only."""
         if self.col_labels != other.row_labels:
             raise ValueError("inner labels do not match")
+        right = other.row_nonzeros
+        width = len(other.col_labels)
         rows = []
-        for i in range(len(self.row_labels)):
-            row = []
-            for j in range(len(other.col_labels)):
-                acc = ZERO
-                for k in range(len(self.col_labels)):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
+        for left in self.row_nonzeros:
+            acc: dict[int, LaurentPoly] = {}
+            for k, a in left:
+                for j, b in right[k]:
+                    p = a * b
+                    got = acc.get(j)
+                    acc[j] = p if got is None else got + p
+            row = [ZERO] * width
+            for j, p in acc.items():
+                row[j] = p
             rows.append(tuple(row))
         return PolyMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def eval_one(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(p.eval_one() for p in row) for row in self.entries)
+        width = len(self.col_labels)
+        out = []
+        for cells in self.row_nonzeros:
+            row = [0] * width
+            for j, p in cells:
+                row[j] = p.eval_one()
+            out.append(tuple(row))
+        return tuple(out)
+
+
+def _lookup(index: dict[Multipartition, int], label: Multipartition, kind: str) -> int:
+    try:
+        return index[label]
+    except KeyError:
+        raise ValueError(f"{label!r} is not a {kind} label") from None
 
 
 def basis_matrix(basis: CanonicalBasisSet, pad: int = 0) -> PolyMatrix:
@@ -132,7 +171,10 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
     if ginf.e is not None:
         raise ValueError("second argument must be a no-modulus basis")
     charge = ge.charge
-    layer_size = len(enumerate_multipartitions(len(charge), ge.rank, charge))
+    # rows of the rank layer, descending gamma order: the greatest support
+    # term of a residual is the one with the least position
+    layer = enumerate_multipartitions(len(charge), ge.rank, charge)
+    position = {m: i for i, m in enumerate(layer)}
     inf_labels = set(ginf.labels)
     cols: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
     for lam in ge.labels:
@@ -143,9 +185,9 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
         steps = 0
         while not resid.is_zero():
             steps += 1
-            if steps > layer_size:
+            if steps > len(layer):
                 raise NonTermination(f"column {format_multipartition(lam)}")
-            mu = max(resid.entries, key=lambda m: gamma_sequence(m, charge))
+            mu = min(resid.entries, key=position.__getitem__)
             if mu not in inf_labels:
                 raise NotInBInfinity(format_multipartition(mu))
             d = resid.coeff(mu)
@@ -215,18 +257,21 @@ def verify(
     de: PolyMatrix,
     dinf: PolyMatrix,
     drel: PolyMatrix,
-    charge: Optional[Charge] = None,
+    charge: Charge,
 ) -> list[dict]:
     """Structural checks on a finished factorization, as a report list.
 
-    The dominance condition depends on the charge of the underlying
-    module; it defaults to the zero charge of the labels' level.
+    The product dinf*drel is formed once, over nonzero cells only; the
+    "product" check compares it with de over Z[v, 1/v] and the
+    "specialization" check compares it with de at v=1, together with an
+    independent integer product of the v=1 matrices.  The dominance
+    condition of the "order" check depends on the charge of the
+    underlying module, so the charge is required.
     """
-    if charge is None:
-        charge = (0,) * len(de.row_labels[0])
     report = []
 
-    ok = de.row_labels == dinf.row_labels and dinf.matmul(drel).entries == de.entries
+    prod = dinf.matmul(drel)
+    ok = de.row_labels == dinf.row_labels and prod.entries == de.entries
     report.append(
         {
             "check": "product",
@@ -235,17 +280,18 @@ def verify(
         }
     )
 
-    diag_ok = True
-    tri_ok = True
-    for i, nu in enumerate(drel.row_labels):
-        for j, lam in enumerate(drel.col_labels):
-            c = drel.entries[i][j]
-            if nu == lam:
-                diag_ok = diag_ok and c == ONE
-            else:
-                tri_ok = tri_ok and c.in_v_ztimes()
-    missing = [c for c in drel.col_labels if c not in drel.row_labels]
-    diag_ok = diag_ok and not missing
+    rows = drel.row_index
+    diag_ok = all(
+        lam in rows and drel.entries[rows[lam]][j] == ONE
+        for j, lam in enumerate(drel.col_labels)
+    )
+    off_diagonal = [
+        (nu, drel.col_labels[j], c)
+        for nu, cells in zip(drel.row_labels, drel.row_nonzeros)
+        for j, c in cells
+        if nu != drel.col_labels[j]
+    ]
+    tri_ok = all(c.in_v_ztimes() for _, _, c in off_diagonal)
     report.append(
         {
             "check": "unitriangular",
@@ -254,12 +300,10 @@ def verify(
         }
     )
 
-    order_ok = True
-    for i, nu in enumerate(drel.row_labels):
-        for j, lam in enumerate(drel.col_labels):
-            if not drel.entries[i][j].is_zero() and nu != lam:
-                if compare_dominance(lam, nu, charge) is not Ordering.GREATER:
-                    order_ok = False
+    order_ok = all(
+        compare_dominance(lam, nu, charge) is Ordering.GREATER
+        for nu, lam, _ in off_diagonal
+    )
     report.append(
         {
             "check": "order",
@@ -269,7 +313,10 @@ def verify(
     )
 
     pos_ok = all(
-        p.in_nonneg_v_poly() for m in (de, dinf, drel) for row in m.entries for p in row
+        p.in_nonneg_v_poly()
+        for m in (de, dinf, drel)
+        for row in m.row_nonzeros
+        for _, p in row
     )
     report.append(
         {
@@ -280,7 +327,6 @@ def verify(
     )
 
     lhs = de.eval_one()
-    prod = dinf.matmul(drel)
     spec_ok = lhs == prod.eval_one() and _int_matmul(
         dinf.eval_one(), drel.eval_one()
     ) == lhs
@@ -299,10 +345,18 @@ def all_pass(report: list[dict]) -> bool:
 
 
 def _int_matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    """Product of two integer matrices (tuples of rows), over nonzeros only."""
+    width = len(b[0])
+    right = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in right[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 # -- rendering -----------------------------------------------------------

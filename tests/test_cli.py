@@ -128,7 +128,7 @@ def test_factorize_csv_sections(capsys):
 
 
 def test_factorize_failure_exit_code(capsys, monkeypatch):
-    def fake_verify(de, dinf, drel, charge=None):
+    def fake_verify(de, dinf, drel, charge):
         return [{"check": "product", "pass": False, "detail": "forced"}]
 
     monkeypatch.setattr(fockdec.cli, "verify", fake_verify)
@@ -301,3 +301,28 @@ def test_module_execution_matches_function():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Greater\n"
+
+
+def test_dash_values_accept_the_space_form(capsys):
+    # (option, value) pairs whose value starts with '-', with the rest of
+    # each command line; the space form must match the equals form
+    cases = [
+        (["crystal", "--e", "2", "--rank", "2"], [("--charge", "-1,-2")]),
+        (["canonical", "--e", "inf", "--rank", "2"], [("--charge", "-2,-2")]),
+        (["factorize", "--e", "2", "--rank", "2"], [("--charge", "-1,-1")]),
+        (["abacus", "--e", "2", "--r", "7"],
+         [("--multipartition", "-|1"), ("--charge", "-1,0")]),
+        (["order"], [("--left", "-|2.1"), ("--right", "-|1.1.1"),
+                     ("--charge", "-1,0")]),
+    ]
+    for rest, pairs in cases:
+        spaced = list(rest)
+        joined = list(rest)
+        for option, value in pairs:
+            spaced += [option, value]
+            joined.append(f"{option}={value}")
+        rc_spaced, out_spaced, err_spaced = run(capsys, *spaced)
+        rc_joined, out_joined, _ = run(capsys, *joined)
+        assert rc_spaced == rc_joined == 0, (spaced, err_spaced)
+        assert out_spaced == out_joined, spaced
+        assert out_spaced != ""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockdec.canonical import canonical_basis
 from fockdec.combinatorics import parse_multipartition
@@ -11,6 +13,7 @@ from fockdec.factorize import (
     NonTermination,
     NotInBInfinity,
     PolyMatrix,
+    _int_matmul,
     all_pass,
     back_substitution_oracle,
     basis_matrix,
@@ -70,6 +73,16 @@ def test_entry_and_column_access():
     assert m.column(mp("1.1")) == {mp("1.1"): ONE}
 
 
+def test_entry_and_column_reject_unknown_labels():
+    m = small_matrix()
+    with pytest.raises(ValueError):
+        m.entry(mp("3"), mp("2"))
+    with pytest.raises(ValueError):
+        m.entry(mp("2"), mp("3"))
+    with pytest.raises(ValueError):
+        m.column(mp("3"))
+
+
 def test_matmul():
     m = small_matrix()
     eye = PolyMatrix(m.col_labels, m.col_labels, ((ONE, ZERO), (ZERO, ONE)))
@@ -78,6 +91,77 @@ def test_matmul():
     assert sq.entry(mp("1.1"), mp("2")) == poly((1, 2))
     with pytest.raises(ValueError):
         m.matmul(PolyMatrix((mp("3"),), (mp("3"),), ((ONE,),)))
+
+
+small_polys = st.builds(
+    LaurentPoly.from_pairs,
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), min_size=1, max_size=3),
+)
+
+
+def _sparse_cells(draw, rows, cols, cell, zero):
+    """A rows x cols grid, at least half zero, sometimes with a zero row and column."""
+    flat = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    nonzero = [i for i, x in enumerate(flat) if x]
+    for i in nonzero[rows * cols // 2 :]:
+        flat[i] = zero
+    grid = [flat[r * cols : (r + 1) * cols] for r in range(rows)]
+    zero_row = draw(st.none() | st.integers(0, rows - 1))
+    zero_col = draw(st.none() | st.integers(0, cols - 1))
+    for r in range(rows):
+        for c in range(cols):
+            if r == zero_row or c == zero_col:
+                grid[r][c] = zero
+    return tuple(tuple(row) for row in grid)
+
+
+def _labels(n):
+    return tuple(((i + 1,),) for i in range(n))
+
+
+@st.composite
+def poly_matrix_pairs(draw):
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    cell = st.one_of(st.just(ZERO), small_polys)
+    a = PolyMatrix(_labels(m), _labels(k), _sparse_cells(draw, m, k, cell, ZERO))
+    b = PolyMatrix(_labels(k), _labels(n), _sparse_cells(draw, k, n, cell, ZERO))
+    return a, b
+
+
+@st.composite
+def int_matrix_pairs(draw):
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    cell = st.one_of(st.just(0), st.integers(-5, 5))
+    return _sparse_cells(draw, m, k, cell, 0), _sparse_cells(draw, k, n, cell, 0)
+
+
+@given(poly_matrix_pairs())
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_dense_triple_loop(pair):
+    a, b = pair
+    inner = len(b.row_labels)
+    dense = tuple(
+        tuple(
+            sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)), ZERO)
+            for j in range(len(b.col_labels))
+        )
+        for i in range(len(a.row_labels))
+    )
+    prod = a.matmul(b)
+    assert prod.row_labels == a.row_labels
+    assert prod.col_labels == b.col_labels
+    assert prod.entries == dense
+
+
+@given(int_matrix_pairs())
+@settings(max_examples=100, deadline=None)
+def test_int_matmul_matches_dense_product(pair):
+    a, b = pair
+    dense = tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+    assert _int_matmul(a, b) == dense
 
 
 def test_eval_one():
@@ -172,7 +256,7 @@ def test_oracle_rejects_cyclic_support():
 
 def test_verify_all_pass_on_golden():
     de, di, rel = rank3_triple()
-    report = verify(de, di, rel)
+    report = verify(de, di, rel, (0, 0))
     assert [item["check"] for item in report] == [
         "product",
         "unitriangular",
@@ -181,6 +265,24 @@ def test_verify_all_pass_on_golden():
         "specialization",
     ]
     assert all_pass(report)
+
+
+def test_verify_requires_the_charge():
+    de, di, rel = rank3_triple()
+    with pytest.raises(TypeError):
+        verify(de, di, rel)
+
+
+@pytest.mark.parametrize("charge", [(0, 2), (0, 1, 2)])
+def test_verify_passes_at_a_nonzero_charge(charge):
+    # the zero charge orders these labels differently, so an order check
+    # made at the zero charge instead of the module's own would fail
+    ge = canonical_basis(3, charge, 5)
+    gi = canonical_basis(None, charge, 5)
+    de, di, rel = basis_matrix(ge), basis_matrix(gi), extract_relative(ge, gi)
+    assert all_pass(verify(de, di, rel, charge))
+    zero = {r["check"]: r["pass"] for r in verify(de, di, rel, (0,) * len(charge))}
+    assert not zero["order"]
 
 
 def _with_entry(m, row, col, value):
@@ -196,16 +298,28 @@ def _with_entry(m, row, col, value):
 def test_verify_detects_broken_diagonal():
     de, di, rel = rank3_triple()
     bad = _with_entry(rel, mp("1|2"), mp("1|2"), poly((1, 1)))
-    report = {r["check"]: r["pass"] for r in verify(de, di, bad)}
+    report = {r["check"]: r["pass"] for r in verify(de, di, bad, (0, 0))}
     assert not report["unitriangular"]
     assert not report["product"]
-    assert not all_pass(verify(de, di, bad))
+    assert not all_pass(verify(de, di, bad, (0, 0)))
+
+
+def test_verify_detects_corrupted_finite_e_matrix():
+    de, di, rel = rank3_triple()
+    # a column's leading cell is 1; adding v changes its value at v=1
+    lam = de.col_labels[0]
+    before = de.entry(lam, lam)
+    bad = _with_entry(de, lam, lam, before + poly((1, 1)))
+    assert bad.entry(lam, lam).eval_one() != before.eval_one()
+    report = {r["check"]: r["pass"] for r in verify(bad, di, rel, (0, 0))}
+    assert not report["product"]
+    assert not report["specialization"]
 
 
 def test_verify_detects_negative_coefficient():
     de, di, rel = rank3_triple()
     bad = _with_entry(rel, mp("1|1.1"), mp("-|3"), poly((1, -1)))
-    report = {r["check"]: r["pass"] for r in verify(de, di, bad)}
+    report = {r["check"]: r["pass"] for r in verify(de, di, bad, (0, 0))}
     assert not report["positivity"]
     assert not report["product"]
 
@@ -215,14 +329,14 @@ def test_verify_detects_order_violation():
     # -|3 strictly dominates 1|2, so a nonzero cell in this position
     # points the wrong way up the order
     bad = _with_entry(rel, mp("-|3"), mp("1|2"), poly((1, 1)))
-    report = {r["check"]: r["pass"] for r in verify(de, di, bad)}
+    report = {r["check"]: r["pass"] for r in verify(de, di, bad, (0, 0))}
     assert not report["order"]
 
 
 def test_verify_detects_constant_off_diagonal():
     de, di, rel = rank3_triple()
     bad = _with_entry(rel, mp("1|1.1"), mp("-|3"), ONE)
-    report = {r["check"]: r["pass"] for r in verify(de, di, bad)}
+    report = {r["check"]: r["pass"] for r in verify(de, di, bad, (0, 0))}
     assert not report["unitriangular"]
 
 
