@@ -14,7 +14,7 @@ import random
 import time
 
 from fockdec import _poly_py
-from fockdec.canonical import canonical_basis_any_charge
+from fockdec.canonical import canonical_basis
 from fockdec.factorize import basis_matrix, extract_relative
 from fockdec.laurent import KERNEL
 
@@ -84,8 +84,8 @@ def main():
 
     print(f"\nend-to-end with the selected kernel ({KERNEL})")
     start = time.perf_counter()
-    ge = canonical_basis_any_charge(2, (0, 0), 8)
-    gi = canonical_basis_any_charge(None, (0, 0), 8)
+    ge = canonical_basis(2, (0, 0), 8)
+    gi = canonical_basis(None, (0, 0), 8)
     extract_relative(ge, gi)
     basis_matrix(ge)
     print(f"  factorize e=2 charge=0,0 rank=8: {time.perf_counter() - start:.3f}s")

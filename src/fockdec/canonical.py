@@ -22,16 +22,13 @@ unsolvable by this route and raises OrderViolation; none has been
 observed.
 
 The construction never uses dominance of the charge, so it runs at any
-charge directly.  canonical_basis_any_charge additionally implements the
-reduction route: peeling sequences are taken at the dominant representative
-of the charge (componentwise mod e, sorted) and applied in the module of
-the requested charge, labeling each vector by its greatest support term.
-Both routes produce the same basis.
+charge directly.  All peeling words of a rank are applied in one pass
+(apply_peelings) that shares the partial products of common prefixes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import (
@@ -39,7 +36,6 @@ from .combinatorics import (
     Multipartition,
     empty,
     format_multipartition,
-    gamma_lex_sorted,
     gamma_sequence,
     node_key,
     rank,
@@ -64,9 +60,9 @@ __all__ = [
     "CanonicalBasisSet",
     "peeling_sequence",
     "build_A",
+    "apply_peeling",
+    "apply_peelings",
     "canonical_basis",
-    "reduce_charge",
-    "canonical_basis_any_charge",
     "brute_force_basis",
 ]
 
@@ -127,10 +123,35 @@ def apply_peeling(
     seq: tuple[tuple[int, int], ...], e: Optional[int], charge: Charge
 ) -> FockVector:
     """Apply the reversed peeling word to the vacuum of the given charge."""
-    x = basis_vector(empty(len(charge)), charge)
-    for i, u in reversed(seq):
-        x = apply_f_divided(x, e, i, u)
-    return x
+    return apply_peelings([seq], e, charge)[0]
+
+
+def apply_peelings(
+    seqs: list[tuple[tuple[int, int], ...]], e: Optional[int], charge: Charge
+) -> list[FockVector]:
+    """apply_peeling for each word, in input order, sharing common prefixes.
+
+    Words are taken in the order of their reversed forms (the order their
+    divided powers are applied in), so words with a common leading run of
+    steps are adjacent.  A stack holds the partial product after each
+    step of the current word; the next word pops back to its common
+    prefix with the current one and applies only the rest.
+    """
+    words = [tuple(reversed(seq)) for seq in seqs]
+    out: list[Optional[FockVector]] = [None] * len(words)
+    stack = [basis_vector(empty(len(charge)), charge)]
+    prev: tuple[tuple[int, int], ...] = ()
+    for k in sorted(range(len(words)), key=words.__getitem__):
+        word = words[k]
+        common = 0
+        while common < min(len(prev), len(word)) and prev[common] == word[common]:
+            common += 1
+        del stack[common + 1 :]
+        for i, u in word[common:]:
+            stack.append(apply_f_divided(stack[-1], e, i, u))
+        out[k] = stack[-1]
+        prev = word
+    return out
 
 
 def build_A(mp: Multipartition, e: Optional[int], charge: Charge) -> FockVector:
@@ -153,10 +174,8 @@ class CanonicalBasisSet:
     ``labels`` is in descending gamma order (the matrix column order);
     ``vectors``/``avectors``/``peelings``/``corrections`` are keyed by
     label.  ``corrections[lam]`` holds the bar-symmetric coefficients m
-    with A(lam) = G(lam) + sum m[mu] G(mu).  For a non-dominant charge,
-    ``sources`` maps each label to the dominant-crystal vertex whose
-    peeling word produced it; at a dominant charge sources is None and the
-    labels are the crystal vertices themselves.
+    with A(lam) = G(lam) + sum m[mu] G(mu).  The labels are the rank-n
+    crystal vertices.
     """
 
     e: Optional[int]
@@ -167,7 +186,6 @@ class CanonicalBasisSet:
     avectors: dict[Multipartition, FockVector]
     peelings: dict[Multipartition, tuple[tuple[int, int], ...]]
     corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]]
-    sources: Optional[dict[Multipartition, Multipartition]] = None
 
 
 def _reduce(
@@ -220,9 +238,9 @@ def canonical_basis(
         graph = generate_component(e, charge, n)
     verts_desc = list(graph.vertices(n))
     vert_set = set(verts_desc)
+    peelings = {lam: peeling_sequence(lam, e, charge) for lam in verts_desc}
+    avectors = dict(zip(peelings, apply_peelings(list(peelings.values()), e, charge)))
     table: dict[Multipartition, FockVector] = {}
-    avectors: dict[Multipartition, FockVector] = {}
-    peelings: dict[Multipartition, tuple[tuple[int, int], ...]] = {}
     corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
     building: list[Multipartition] = []
 
@@ -243,12 +261,8 @@ def canonical_basis(
             raise OrderViolation(f"basis vectors depend on each other: {chain}")
         building.append(lam)
         try:
-            seq = peeling_sequence(lam, e, charge)
-            a = apply_peeling(seq, e, charge)
-            g, corr = _reduce(a, lam, charge, resolve)
+            g, corr = _reduce(avectors[lam], lam, charge, resolve)
             _check_reduced(g, lam)
-            peelings[lam] = seq
-            avectors[lam] = a
             corrections[lam] = corr
             table[lam] = g
         finally:
@@ -280,96 +294,6 @@ def _check_reduced(g: FockVector, label: Multipartition) -> None:
             assert c.in_v_ztimes(), f"{format_multipartition(mp)}: {c}"
 
 
-def reduce_charge(charge: Charge, e: Optional[int]) -> tuple[Charge, bool]:
-    """The dominant representative of a charge, and whether it already was one.
-
-    Finite e: componentwise mod e, sorted ascending.  No modulus: sorted
-    ascending.
-    """
-    if e is None:
-        dom = tuple(sorted(charge))
-    else:
-        dom = tuple(sorted(c % e for c in charge))
-    return dom, dom == tuple(charge)
-
-
-def canonical_basis_any_charge(
-    e: Optional[int], charge: Charge, n: int
-) -> CanonicalBasisSet:
-    """Canonical basis at an arbitrary charge via the dominant reduction.
-
-    Peeling words are read in the crystal of the dominant representative
-    and applied in the module of the requested charge; each resulting
-    vector is labeled by its greatest support term.
-    """
-    dom, was_dominant = reduce_charge(charge, e)
-    if was_dominant:
-        return canonical_basis(e, charge, n)
-    graph = generate_component(e, dom, n)
-    built: dict[Multipartition, tuple] = {}
-    for src in graph.vertices(n):
-        seq = peeling_sequence(src, e, dom)
-        a = apply_peeling(seq, e, charge)
-        label = max(a.entries, key=lambda m: gamma_sequence(m, charge))
-        if a.coeff(label) != ONE:
-            raise PeelingUnitriangularityViolated(
-                f"coefficient of {format_multipartition(label)} is {a.coeff(label)}"
-            )
-        if label in built:
-            raise PeelingUnitriangularityViolated(
-                f"two vectors claim the label {format_multipartition(label)}"
-            )
-        built[label] = (src, seq, a)
-    table: dict[Multipartition, FockVector] = {}
-    avectors = {}
-    peelings = {}
-    corrections = {}
-    sources = {}
-    building: list[Multipartition] = []
-
-    def resolve(mp: Multipartition) -> FockVector:
-        if mp not in built:
-            raise MissingPredecessor(f"no basis vector at {format_multipartition(mp)}")
-        return build(mp)
-
-    def build(label: Multipartition) -> FockVector:
-        if label in table:
-            return table[label]
-        if label in building:
-            chain = " <- ".join(
-                format_multipartition(m) for m in building + [label]
-            )
-            raise OrderViolation(f"basis vectors depend on each other: {chain}")
-        building.append(label)
-        try:
-            src, seq, a = built[label]
-            g, corr = _reduce(a, label, charge, resolve)
-            _check_reduced(g, label)
-            table[label] = g
-            avectors[label] = a
-            peelings[label] = seq
-            corrections[label] = corr
-            sources[label] = src
-        finally:
-            building.pop()
-        return g
-
-    for label in sorted(built, key=lambda m: gamma_sequence(m, charge)):
-        build(label)
-    labels = tuple(gamma_lex_sorted(list(table), charge))
-    return CanonicalBasisSet(
-        e=e,
-        charge=charge,
-        rank=n,
-        labels=labels,
-        vectors=table,
-        avectors=avectors,
-        peelings=peelings,
-        corrections=corrections,
-        sources=sources,
-    )
-
-
 def brute_force_basis(
     e: Optional[int], charge: Charge, n: int
 ) -> dict[Multipartition, FockVector]:
@@ -385,10 +309,8 @@ def brute_force_basis(
     """
     graph = generate_component(e, charge, n)
     verts = list(graph.vertices(n))
-    amat = {
-        lam: apply_peeling(peeling_sequence(lam, e, charge), e, charge)
-        for lam in verts
-    }
+    seqs = [peeling_sequence(lam, e, charge) for lam in verts]
+    amat = dict(zip(verts, apply_peelings(seqs, e, charge)))
     out: dict[Multipartition, FockVector] = {}
     for lam in verts:
         coords: dict[Multipartition, LaurentPoly] = {lam: ONE}

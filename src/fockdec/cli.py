@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
-from .canonical import canonical_basis_any_charge
+from .canonical import canonical_basis
 from .combinatorics import (
     Charge,
     Multipartition,
@@ -131,7 +131,7 @@ def cmd_canonical(cfg: RunConfig) -> int:
         return _fail(f"canonical cannot be written as {cfg.format}", 2)
     if _guard_tripped(cfg):
         return _fail(_guard_message(cfg), 3)
-    basis = canonical_basis_any_charge(cfg.e, cfg.charge, cfg.rank)
+    basis = canonical_basis(cfg.e, cfg.charge, cfg.rank)
     m = basis_matrix(basis, cfg.pad)
     if cfg.format == "json":
         _out(
@@ -162,8 +162,8 @@ def cmd_factorize(cfg: RunConfig) -> int:
         return _fail(f"factorize cannot be written as {cfg.format}", 2)
     if _guard_tripped(cfg):
         return _fail(_guard_message(cfg), 3)
-    ge = canonical_basis_any_charge(cfg.e, cfg.charge, cfg.rank)
-    ginf = canonical_basis_any_charge(None, cfg.charge, cfg.rank)
+    ge = canonical_basis(cfg.e, cfg.charge, cfg.rank)
+    ginf = canonical_basis(None, cfg.charge, cfg.rank)
     de = basis_matrix(ge, cfg.pad)
     dinf = basis_matrix(ginf, cfg.pad)
     try:

@@ -266,8 +266,19 @@ def verify(
     "specialization" check compares it with de at v=1, together with an
     independent integer product of the v=1 matrices.  The dominance
     condition of the "order" check depends on the charge of the
-    underlying module, so the charge is required.
+    underlying module, so the charge is required, and a charge whose
+    level differs from the labels' raises ValueError.
     """
+    levels = {
+        len(label)
+        for m in (de, dinf, drel)
+        for label in m.row_labels + m.col_labels
+    }
+    if levels != {len(charge)}:
+        found = ", ".join(map(str, sorted(levels)))
+        raise ValueError(
+            f"charge {charge} has level {len(charge)} but the labels have level {found}"
+        )
     report = []
 
     prod = dinf.matmul(drel)

@@ -6,6 +6,15 @@ weights each insertion by v to the count of addable i-nodes above the new
 box minus removable i-nodes above it in the result; the lowering operator
 e_i deletes one box with the mirrored count below, with a minus sign in the
 exponent; t_i is diagonal with the net addable-minus-removable count.
+The modulus is e >= 2 or None; apply_f and apply_f_divided raise ValueError
+for e < 2.
+
+Both raising operators work from one scan of each source multipartition:
+a box of residue i changes addable and removable nodes only at residues
+i - 1 and i + 1, so the exponents of every insertion are read off the
+source itself.  The divided power f_i^(u) is computed in closed form, one
+term per u-subset of the addable i-nodes, never as u applications of f_i
+followed by a division by [u]!.
 
 With e=None the same formulas run on raw contents instead of residues:
 that is the large-rank limit in which every content class is its own
@@ -20,6 +29,7 @@ on concrete vectors.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from .combinatorics import (
@@ -32,11 +42,10 @@ from .combinatorics import (
     format_multipartition,
     gamma_sequence,
     node_key,
-    rank,
     remove_node,
     removable_nodes,
 )
-from .laurent import ONE, LaurentPoly, exact_div, qfactorial
+from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = [
     "FockVector",
@@ -73,7 +82,7 @@ class FockVector:
         self.entries = {mp: c for mp, c in entries.items() if not c.is_zero()}
 
     def coeff(self, mp: Multipartition) -> LaurentPoly:
-        return self.entries.get(mp, LaurentPoly())
+        return self.entries.get(mp, ZERO)
 
     def support(self) -> list[Multipartition]:
         """Support sorted by descending gamma sequence at this charge."""
@@ -212,25 +221,73 @@ def _residue_mismatch(c: int, e: Optional[int], i: int) -> bool:
     return c != i if e is None else (c - i) % e != 0
 
 
+def _i_nodes(
+    mp: Multipartition, charge: Charge, e: Optional[int], i: int
+) -> tuple[list[tuple[tuple[int, int], int, int]], list[tuple[int, int]]]:
+    """The addable and removable i-nodes of mp, found in one scan.
+
+    Addable nodes come as (node key, component index, row index), both
+    indices 0-based; removable nodes as node keys.  Both lists ascend in
+    the node order.
+    """
+    adds = []
+    rems = []
+    for ci, (part, s) in enumerate(zip(mp, charge)):
+        comp = ci + 1
+        n = len(part)
+        for r in range(n + 1):
+            here = part[r] if r < n else 0
+            if r == 0 or part[r - 1] > here:
+                c = here - r + s
+                if (c == i) if e is None else ((c - i) % e == 0):
+                    adds.append(((c, comp), ci, r))
+            if r < n and here > (part[r + 1] if r + 1 < n else 0):
+                c = here - 1 - r + s
+                if (c == i) if e is None else ((c - i) % e == 0):
+                    rems.append((c, comp))
+    adds.sort()
+    rems.sort()
+    return adds, rems
+
+
+def _single_exponents(
+    adds: list[tuple[tuple[int, int], int, int]], rems: list[tuple[int, int]]
+) -> list[int]:
+    """Per addable i-node: addable i-nodes above it minus removable i-nodes above it."""
+    out = [0] * len(adds)
+    j = len(rems)
+    for pos in range(len(adds) - 1, -1, -1):
+        key = adds[pos][0]
+        while j and rems[j - 1] > key:
+            j -= 1
+        out[pos] = (len(adds) - pos - 1) - (len(rems) - j)
+    return out
+
+
+def _add_boxes(mp: Multipartition, picks: list[tuple[int, int]]) -> Multipartition:
+    """Insert boxes given as (component index, row index) pairs, 0-based."""
+    comps = list(mp)
+    for ci, r in picks:
+        part = comps[ci]
+        if r < len(part):
+            comps[ci] = part[:r] + (part[r] + 1,) + part[r + 1 :]
+        else:
+            comps[ci] = part + (1,)
+    return tuple(comps)
+
+
 def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
-    """The raising operator for residue i."""
-    charge = x.charge
-    out: dict[Multipartition, LaurentPoly] = {}
-    for mp, c in x.entries.items():
-        adds = addable_nodes(mp, charge, e, i)
-        keys = [node_key(n, charge) for n in adds]
-        for pos, gamma in enumerate(adds):
-            mu = add_node(mp, gamma)
-            above_add = len(adds) - pos - 1
-            above_rem = sum(
-                1
-                for n in removable_nodes(mu, charge, e, i)
-                if node_key(n, charge) > keys[pos]
-            )
-            term = c.shift(above_add - above_rem)
-            got = out.get(mu)
-            out[mu] = term if got is None else got + term
-    return FockVector(charge, out)
+    """The raising operator for residue i.
+
+    The exponent of lam -> lam + gamma counts addable i-nodes of lam above
+    gamma minus removable i-nodes of lam + gamma above gamma.  Inserting
+    gamma (content c) changes addability and removability only at contents
+    c - 1 and c + 1, whose residues differ from i when e >= 2 or e is
+    None.  So the removable i-nodes of lam + gamma above gamma are exactly
+    those of lam, and one scan of lam gives the exponent of every term.
+    That argument fails for e = 1, which raises ValueError.
+    """
+    return apply_f_divided(x, e, i, 1)
 
 
 def apply_e(x: FockVector, e: Optional[int], i: int) -> FockVector:
@@ -265,21 +322,37 @@ def apply_t(x: FockVector, e: Optional[int], i: int) -> FockVector:
 
 
 def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVector:
-    """The divided power: f_i applied u times, divided exactly by [u]!.
+    """The divided power f_i^u / [u]!, in closed form.
 
-    Raises DivisionNotExact if some coefficient is not divisible, which
-    cannot happen on vectors in the integrable submodule this package
-    builds (peeling monomials applied to the vacuum).
+    lam goes to lam + S for every u-subset S of lam's addable i-nodes, with
+    exponent the sum over gamma in S of the addable i-nodes of lam above
+    gamma and not in S, minus the removable i-nodes of lam above gamma.
+    Inserting an i-node leaves every other addable or removable i-node as
+    it was (see apply_f), so every subset can be inserted and the exponent
+    is the sum of the single-box exponents minus u(u-1)/2, one for each
+    pair in S.
+    Raises ValueError for u < 0 or e < 2.
     """
     if u < 0:
         raise ValueError(f"negative divided power {u}")
-    y = x
-    for _ in range(u):
-        y = apply_f(y, e, i)
-    if u <= 1:
-        return y
-    fact = qfactorial(u)
-    return FockVector(y.charge, {mp: exact_div(c, fact) for mp, c in y.entries.items()})
+    if e is not None and e < 2:
+        raise ValueError(f"modulus e={e} must be at least 2 (or None for no modulus)")
+    if u == 0:
+        return x
+    charge = x.charge
+    pairs = u * (u - 1) // 2
+    out: dict[Multipartition, LaurentPoly] = {}
+    for mp, c in x.entries.items():
+        adds, rems = _i_nodes(mp, charge, e, i)
+        if len(adds) < u:
+            continue
+        single = _single_exponents(adds, rems)
+        for subset in combinations(range(len(adds)), u):
+            mu = _add_boxes(mp, [adds[p][1:] for p in subset])
+            term = c.shift(sum(single[p] for p in subset) - pairs)
+            got = out.get(mu)
+            out[mu] = term if got is None else got + term
+    return FockVector(charge, out)
 
 
 # -- compatibility between the finite-e and content operator families ----

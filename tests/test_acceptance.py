@@ -15,7 +15,6 @@ from fockdec.canonical import (
     apply_peeling,
     brute_force_basis,
     canonical_basis,
-    canonical_basis_any_charge,
     peeling_sequence,
 )
 from fockdec.combinatorics import (
@@ -46,7 +45,11 @@ from fockdec.fock import (
 from fockdec.laurent import ONE, ZERO, qint
 
 # level -> charges exercised by the factorization sweep
-SWEEP_CHARGES = {1: [(0,)], 2: [(0, 0), (0, 1), (1, 3)]}
+SWEEP_CHARGES = {
+    1: [(0,)],
+    2: [(0, 0), (0, 1), (1, 3)],
+    3: [(0, 1, 2), (2, 0, 1), (1, -1, 2)],
+}
 SWEEP_E = [2, 3, 4]
 SWEEP_MAX_RANK = 5
 
@@ -61,8 +64,8 @@ def mp(text):
 
 
 def _triple(e, charge, n):
-    ge = canonical_basis_any_charge(e, charge, n)
-    gi = canonical_basis_any_charge(None, charge, n)
+    ge = canonical_basis(e, charge, n)
+    gi = canonical_basis(None, charge, n)
     de = basis_matrix(ge)
     di = basis_matrix(gi)
     return ge, gi, de, di, extract_relative(ge, gi)

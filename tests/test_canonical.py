@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockdec.canonical import (
     CanonicalBasisSet,
     MissingPredecessor,
     PeelingUnitriangularityViolated,
     apply_peeling,
+    apply_peelings,
     build_A,
     brute_force_basis,
     canonical_basis,
-    canonical_basis_any_charge,
     peeling_sequence,
-    reduce_charge,
 )
 from fockdec.combinatorics import (
     Ordering,
@@ -24,7 +25,7 @@ from fockdec.combinatorics import (
     parse_multipartition,
 )
 from fockdec.crystal import NotInCrystal
-from fockdec.fock import FockVector, basis_vector
+from fockdec.fock import FockVector, apply_f_divided, basis_vector
 from fockdec.laurent import ONE, LaurentPoly, bar_symmetric_part
 
 
@@ -59,6 +60,36 @@ def test_apply_peeling_reaches_its_vertex():
         a = apply_peeling(peeling_sequence(lam, 2, (0, 0)), 2, (0, 0))
         assert not a.coeff(lam).is_zero()
     assert apply_peeling((), 2, (0, 0)) == basis_vector(((), ()), (0, 0))
+
+
+@st.composite
+def peeling_word_sets(draw):
+    """(e, charge, words): words over a three-step alphabet, so that many
+    of them share leading steps; duplicates and the empty word occur.  The
+    alphabet always holds two steps with one residue and different
+    multiplicities, which must not count as a shared step."""
+    e = draw(st.sampled_from((2, 3, 5, None)))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-2, 2), min_size=level, max_size=level)))
+    i = draw(st.integers(-3, 3) if e is None else st.integers(0, e - 1))
+    j = i + 1 if e is None else (i + 1) % e
+    steps = draw(st.permutations([(i, 1), (i, 2), (j, 1), (j, 2)]))[:3]
+    word = st.lists(st.sampled_from(steps), max_size=4).map(tuple)
+    return e, charge, draw(st.lists(word, min_size=1, max_size=6))
+
+
+@given(peeling_word_sets())
+@settings(max_examples=100, deadline=None)
+def test_shared_prefix_application_matches_each_word(case):
+    e, charge, words = case
+    got = apply_peelings(words, e, charge)
+    assert len(got) == len(words)
+    for word, vec in zip(words, got):
+        x = basis_vector(((),) * len(charge), charge)
+        for i, u in reversed(word):
+            x = apply_f_divided(x, e, i, u)
+        assert vec == x
+        assert apply_peeling(word, e, charge) == x
 
 
 def test_build_A_unit_coefficient():
@@ -155,23 +186,23 @@ def test_nontrivial_correction_regression():
         assert cb.vectors[label] == bf[label]
 
 
-def test_reduce_charge():
-    assert reduce_charge((1, 0), 2) == ((0, 1), False)
-    assert reduce_charge((0, 1), 2) == ((0, 1), True)
-    assert reduce_charge((1, 3), 2) == ((1, 1), False)
-    assert reduce_charge((3, -1), None) == ((-1, 3), False)
-    assert reduce_charge((0,), 5) == ((0,), True)
+def test_congruent_charges_have_equal_layer_sizes():
+    # a charge and its dominant representative (sorted, and reduced mod e
+    # for finite e) give crystals with the same number of vertices per rank
+    for e, charge, dominant in [
+        (2, (1, 0), (0, 1)),
+        (2, (1, 3), (1, 1)),
+        (None, (3, -1), (-1, 3)),
+        (3, (2, 0, 1), (0, 1, 2)),
+        (3, (0, 0, -1), (0, 0, 2)),
+    ]:
+        for n in range(5):
+            got = canonical_basis(e, charge, n)
+            assert len(got.labels) == len(canonical_basis(e, dominant, n).labels)
 
 
-def test_any_charge_dominant_falls_through():
-    cb = canonical_basis_any_charge(2, (0, 1), 3)
-    assert cb.sources is None
-    assert cb.vectors == canonical_basis(2, (0, 1), 3).vectors
-
-
-def test_any_charge_non_dominant():
-    cb = canonical_basis_any_charge(2, (1, 0), 3)
-    assert cb.sources is not None
+def test_non_dominant_charge():
+    cb = canonical_basis(2, (1, 0), 3)
     assert [format_multipartition(l) for l in cb.labels] == ["3|-", "-|3", "2|1", "1|2"]
     dom_count = len(canonical_basis(2, (0, 1), 3).labels)
     assert len(cb.labels) == dom_count

@@ -273,6 +273,17 @@ def test_verify_requires_the_charge():
         verify(de, di, rel)
 
 
+@pytest.mark.parametrize("n, charge", [(1, (0, 5, 7)), (3, (0,))])
+def test_verify_rejects_a_charge_of_another_level(n, charge):
+    # level-2 labels; a level-3 charge used to pass every check at rank 1,
+    # and a level-1 charge failed inside gamma_sequence at rank 3
+    ge = canonical_basis(2, (0, 0), n)
+    gi = canonical_basis(None, (0, 0), n)
+    de, di, rel = basis_matrix(ge), basis_matrix(gi), extract_relative(ge, gi)
+    with pytest.raises(ValueError, match=r"has level \d but the labels have level 2$"):
+        verify(de, di, rel, charge)
+
+
 @pytest.mark.parametrize("charge", [(0, 2), (0, 1, 2)])
 def test_verify_passes_at_a_nonzero_charge(charge):
     # the zero charge orders these labels differently, so an order check

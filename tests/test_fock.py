@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockdec.combinatorics import (
     Node,
     add_node,
     addable_nodes,
     enumerate_multipartitions,
+    node_less,
     parse_multipartition,
     removable_nodes,
 )
@@ -194,3 +197,60 @@ def test_divided_powers_stay_exact_on_towers():
                 x = apply_f_divided(x, e, i, u)  # raises if not exact
             for c in x.entries.values():
                 assert not c.is_zero()
+
+
+# -- the closed-form kernel against the operator as first written ---------
+
+MODULI = (2, 3, 5, None)
+
+
+@st.composite
+def charged_vectors(draw, max_rank=3):
+    """(e, residue, vector): a few multipartitions of one rank, level 1-3,
+    a random charge, random Laurent coefficients."""
+    e = draw(st.sampled_from(MODULI))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-2, 2), min_size=level, max_size=level)))
+    layer = enumerate_multipartitions(level, draw(st.integers(0, max_rank)), charge)
+    support = draw(st.lists(st.sampled_from(layer), min_size=1, max_size=4, unique=True))
+    pairs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=3)
+    x = FockVector(charge, {m: LaurentPoly.from_pairs(draw(pairs)) for m in support})
+    i = draw(st.integers(-4, 4) if e is None else st.integers(0, e - 1))
+    return e, i, x
+
+
+def rescanning_f(x, e, i):
+    """f_i with the removable i-nodes counted on each new multipartition."""
+    out = {}
+    for lam, c in x.entries.items():
+        adds = addable_nodes(lam, x.charge, e, i)
+        for pos, gamma in enumerate(adds):
+            mu = add_node(lam, gamma)
+            above_rem = sum(
+                1 for n in removable_nodes(mu, x.charge, e, i) if node_less(gamma, n, x.charge)
+            )
+            term = c.shift(len(adds) - pos - 1 - above_rem)
+            out[mu] = out[mu] + term if mu in out else term
+    return FockVector(x.charge, out)
+
+
+@given(charged_vectors(), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_divided_power_times_factorial_is_repeated_f(case, u):
+    e, i, x = case
+    repeated = x
+    for _ in range(u):
+        repeated = rescanning_f(repeated, e, i)
+    assert apply_f_divided(x, e, i, u).scale(qfactorial(u)) == repeated
+    if u == 1:
+        assert apply_f(x, e, i) == repeated
+
+
+@given(charged_vectors(max_rank=2), st.integers(-3, 1), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_modulus_below_two_is_rejected(case, e, u):
+    _, i, x = case
+    with pytest.raises(ValueError):
+        apply_f(x, e, i)
+    with pytest.raises(ValueError):
+        apply_f_divided(x, e, i, u)
