@@ -12,12 +12,14 @@ Subcommands
 Exit codes: 0 success (factorize: all checks pass), 1 a verification
 check failed, 2 usage error, 3 a size guard tripped or the bead cut was
 too small.  Output is deterministic: identical invocations produce
-byte-identical bytes regardless of --threads.
+byte-identical bytes.  ``main`` may be called repeatedly in one process;
+it builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -69,7 +71,6 @@ class RunConfig:
     charge: Charge
     rank: int
     format: str = "text"
-    threads: int = 1
     pad: int = 0
     guard: int = GUARD_DEFAULT
 
@@ -383,8 +384,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, formats: str) -> None:
     sub.add_argument("--rank", type=_nonneg_value, required=True,
                      help="total number of boxes")
     sub.add_argument("--format", default="text", help=f"one of: {formats}")
-    sub.add_argument("--threads", type=_positive_value, default=1,
-                     help="accepted for interface stability; execution is sequential")
     sub.add_argument("--pad", type=_nonneg_value, default=0,
                      help="extra dominance-comparison depth")
     sub.add_argument("--guard", type=_nonneg_value, default=GUARD_DEFAULT,
@@ -432,6 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so every call in a process can
+# share one; it is built on first use, not at import
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 # options whose value may begin with '-': a negative charge, or a
 # multipartition with an empty first component
 _DASH_VALUE_OPTIONS = ("--charge", "--left", "--right", "--multipartition")
@@ -463,11 +469,10 @@ def _join_dash_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_dash_values(argv))
+        args = _parser().parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -477,7 +482,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             charge=args.charge,
             rank=args.rank,
             format=args.format,
-            threads=args.threads,
             pad=args.pad,
             guard=args.guard,
         )

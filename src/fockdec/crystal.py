@@ -142,6 +142,18 @@ class CrystalGraph:
         r = sum(sum(c) for c in mp)
         return r <= self.max_rank and mp in self.layers[r]
 
+    def _listed_edges(self) -> list[tuple[Multipartition, int, Multipartition]]:
+        """(source, residue, target) by source in layer order, then residue."""
+        by_source: dict[Multipartition, list[tuple[int, Multipartition]]] = {}
+        for (src, i), dst in self.edges.items():
+            by_source.setdefault(src, []).append((i, dst))
+        return [
+            (src, i, dst)
+            for layer in self.layers
+            for src in layer
+            for i, dst in sorted(by_source.get(src, ()), key=lambda t: t[0])
+        ]
+
     def to_json_obj(self) -> dict:
         return {
             "e": "inf" if self.e is None else self.e,
@@ -153,12 +165,10 @@ class CrystalGraph:
             "edges": [
                 {
                     "source": format_multipartition(src),
-                    "target": format_multipartition(self.edges[(src, i)]),
+                    "target": format_multipartition(dst),
                     "residue": i,
                 }
-                for layer in self.layers
-                for src in layer
-                for i in sorted(j for (m, j) in self.edges if m == src)
+                for src, i, dst in self._listed_edges()
             ],
         }
 
@@ -167,14 +177,11 @@ class CrystalGraph:
         for layer in self.layers:
             for mp in layer:
                 lines.append(f'  "{format_multipartition(mp)}";')
-        for layer in self.layers:
-            for src in layer:
-                for i in sorted(j for (m, j) in self.edges if m == src):
-                    dst = self.edges[(src, i)]
-                    lines.append(
-                        f'  "{format_multipartition(src)}" -> '
-                        f'"{format_multipartition(dst)}" [label="{i}"];'
-                    )
+        for src, i, dst in self._listed_edges():
+            lines.append(
+                f'  "{format_multipartition(src)}" -> '
+                f'"{format_multipartition(dst)}" [label="{i}"];'
+            )
         lines.append("}")
         return "\n".join(lines)
 

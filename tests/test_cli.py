@@ -65,9 +65,8 @@ def test_output_is_deterministic(capsys):
             "--format", "json"]
     rc1, out1, _ = run(capsys, *args)
     rc2, out2, _ = run(capsys, *args)
-    rc3, out3, _ = run(capsys, *args, "--threads", "4")
-    assert rc1 == rc2 == rc3 == 0
-    assert out1 == out2 == out3
+    assert rc1 == rc2 == 0
+    assert out1 == out2
 
 
 def test_canonical_json_shape(capsys):
@@ -181,6 +180,8 @@ def test_usage_errors_exit_two(capsys):
         ["order", "--left=3", "--right=2|1"],
         ["order", "--left=3", "--right=2"],
         ["order", "--left=3", "--right=2.1", "--charge", "0,0"],
+        ["canonical", "--e", "2", "--charge", "0,0", "--rank", "2",
+         "--threads", "4"],
     ]
     for argv in cases:
         rc, _, err = run(capsys, *argv)
@@ -326,3 +327,30 @@ def test_dash_values_accept_the_space_form(capsys):
         assert rc_spaced == rc_joined == 0, (spaced, err_spaced)
         assert out_spaced == out_joined, spaced
         assert out_spaced != ""
+
+
+# calls that exercise the parser's error, help and success paths, in order
+PARSER_REUSE_CALLS = [
+    ["canonical", "--e", "2", "--rank", "2"],  # missing --charge
+    ["--help"],
+    ["crystal", "--e", "2", "--charge", "0,0", "--rank", "3"],
+    ["canonical", "--e", "inf", "--charge", "0,1", "--rank", "3",
+     "--format", "csv"],
+    ["factorize", "--e", "2", "--charge", "0,0", "--rank", "2",
+     "--format", "json"],
+    ABACUS_ARGS + ["--r", "7"],
+    ["order", "--left=-|2.1", "--right=2|1", "--charge", "0,0"],
+    ["canonical", "--e", "inf", "--charge", "-1,0", "--rank", "2"],
+]
+
+
+def test_repeated_main_calls_match_a_fresh_parser(capsys, monkeypatch):
+    assert fockdec.cli.build_parser() is not fockdec.cli.build_parser()
+    assert fockdec.cli._parser() is fockdec.cli._parser()
+    shared = [run(capsys, *argv) for argv in PARSER_REUSE_CALLS]
+    monkeypatch.setattr(fockdec.cli, "_parser", fockdec.cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in PARSER_REUSE_CALLS]
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert "--charge" in shared[0][2]
+    assert shared[1][1].startswith("usage: fockdec")

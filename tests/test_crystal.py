@@ -146,6 +146,38 @@ def test_dot_form():
     assert '"1|1";' in dot
 
 
+def _reference_edges(g):
+    # the per-source scan over every edge, kept as the reference listing
+    return [
+        (src, i, g.edges[(src, i)])
+        for layer in g.layers
+        for src in layer
+        for i in sorted(j for (m, j) in g.edges if m == src)
+    ]
+
+
+@pytest.mark.parametrize("e", [2, 3, None])
+@pytest.mark.parametrize("charge", [(0,), (1, 0), (0, 2, 1)])
+def test_edge_listing_matches_per_source_reference(e, charge):
+    g = generate_component(e, charge, 5)
+    expected = _reference_edges(g)
+    assert len(expected) == len(g.edges) > 0
+    assert g.to_json_obj()["edges"] == [
+        {
+            "source": format_multipartition(src),
+            "target": format_multipartition(dst),
+            "residue": i,
+        }
+        for src, i, dst in expected
+    ]
+    dot_edges = [line for line in g.to_dot().splitlines() if " -> " in line]
+    assert dot_edges == [
+        f'  "{format_multipartition(src)}" -> '
+        f'"{format_multipartition(dst)}" [label="{i}"];'
+        for src, i, dst in expected
+    ]
+
+
 def test_graph_is_frozen():
     g = generate_component(2, (0,), 1)
     with pytest.raises(Exception):
