@@ -10,9 +10,10 @@ Subcommands
   order      dominance relation between two multipartitions
 
 Exit codes: 0 success (factorize: all checks pass), 1 a verification
-check failed, 2 usage error, 3 a size guard tripped or the bead cut was
-too small.  Output is deterministic: identical invocations produce
-byte-identical bytes.  ``main`` may be called repeatedly in one process;
+check failed or an internal consistency check raised (one line on stderr,
+``fockdec: <ExceptionName>: <message>``), 2 usage error, 3 a size guard
+tripped or the bead cut was too small.  Output is deterministic:
+identical invocations produce byte-identical bytes.  ``main`` may be called repeatedly in one process;
 it builds its parser on the first call and reuses it.
 """
 
@@ -26,7 +27,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
-from .canonical import canonical_basis
+from .canonical import (
+    MissingPredecessor,
+    OrderViolation,
+    PeelingUnitriangularityViolated,
+    canonical_basis,
+)
 from .combinatorics import (
     Charge,
     Multipartition,
@@ -39,15 +45,18 @@ from .combinatorics import (
 from .crystal import generate_component
 from .factorize import (
     NonTermination,
+    NotInBInfinity,
+    PolyMatrix,
     all_pass,
+    append_matrix_json,
     basis_matrix,
     extract_relative,
     matrix_to_csv,
-    matrix_to_json_obj,
     matrix_to_latex,
     matrix_to_text,
     verify,
 )
+from .laurent import DivisionNotExact
 
 __all__ = [
     "RunConfig",
@@ -61,6 +70,15 @@ __all__ = [
 ]
 
 GUARD_DEFAULT = 12
+
+# raised only when the construction contradicts itself; exit code 1
+INTERNAL_FAILURES = (
+    OrderViolation,
+    PeelingUnitriangularityViolated,
+    MissingPredecessor,
+    NotInBInfinity,
+    DivisionNotExact,
+)
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,25 @@ class RunConfig:
 
 def _out(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _out_json(fields: dict) -> None:
+    """Write ``json.dumps(fields, indent=2)`` plus a newline, byte for byte.
+
+    PolyMatrix values are written by append_matrix_json; the whole document
+    is collected as pieces and joined once.
+    """
+    parts = []
+    sep = "{\n  "
+    for key, value in fields.items():
+        parts.append(sep + json.dumps(key) + ": ")
+        if isinstance(value, PolyMatrix):
+            append_matrix_json(parts, value, depth=1)
+        else:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    parts.append("\n}\n")
+    sys.stdout.write("".join(parts))
 
 
 def _fail(message: str, code: int) -> int:
@@ -135,16 +172,8 @@ def cmd_canonical(cfg: RunConfig) -> int:
     basis = canonical_basis(cfg.e, cfg.charge, cfg.rank)
     m = basis_matrix(basis, cfg.pad)
     if cfg.format == "json":
-        _out(
-            json.dumps(
-                {
-                    "e": _e_text(cfg.e),
-                    "charge": list(cfg.charge),
-                    "rank": cfg.rank,
-                    "matrix": matrix_to_json_obj(m),
-                },
-                indent=2,
-            )
+        _out_json(
+            {"e": _e_text(cfg.e), "charge": list(cfg.charge), "rank": cfg.rank, "matrix": m}
         )
     elif cfg.format == "csv":
         sys.stdout.write(matrix_to_csv(m))
@@ -176,20 +205,17 @@ def cmd_factorize(cfg: RunConfig) -> int:
 
     e_name = f"e={cfg.e}"
     if cfg.format == "json":
-        _out(
-            json.dumps(
-                {
-                    "e": cfg.e,
-                    "charge": list(cfg.charge),
-                    "rank": cfg.rank,
-                    "basis_e": matrix_to_json_obj(de),
-                    "basis_inf": matrix_to_json_obj(dinf),
-                    "relative": matrix_to_json_obj(drel),
-                    "report": report,
-                    "all_pass": ok,
-                },
-                indent=2,
-            )
+        _out_json(
+            {
+                "e": cfg.e,
+                "charge": list(cfg.charge),
+                "rank": cfg.rank,
+                "basis_e": de,
+                "basis_inf": dinf,
+                "relative": drel,
+                "report": report,
+                "all_pass": ok,
+            }
         )
     elif cfg.format == "csv":
         parts = [
@@ -476,6 +502,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    try:
+        return _dispatch(args)
+    except INTERNAL_FAILURES as exc:
+        first = (str(exc).splitlines() or [""])[0]
+        return _fail(f"{type(exc).__name__}: {first}", 1)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("crystal", "canonical", "factorize"):
         cfg = RunConfig(
             e=args.e,

@@ -8,10 +8,19 @@ the corresponding no-modulus basis vector; the multiples assemble into the
 relative matrix, which is unitriangular with off-diagonal entries in
 v*Z[v] and nonnegative coefficients.  verify() rechecks all of that from
 the finished matrices, including the v=1 specialization.
+
+JSON rendering: matrix_to_json_obj() is the documented structure
+(row_labels, col_labels, and entries as [exponent, coefficient] pairs).
+append_matrix_json() writes its text directly and is byte-identical to
+json.dumps(matrix_to_json_obj(m), indent=2) nested ``depth`` levels deep,
+i.e. with every newline followed by 2*depth more spaces.  It formats each
+distinct cell once per matrix, which is where a large, mostly empty
+matrix spends its rendering time.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +48,7 @@ __all__ = [
     "matrix_to_csv",
     "matrix_to_latex",
     "matrix_to_json_obj",
+    "append_matrix_json",
     "matrix_to_text",
 ]
 
@@ -425,6 +435,54 @@ def matrix_to_json_obj(m: PolyMatrix) -> dict:
         "col_labels": [format_multipartition(c) for c in m.col_labels],
         "entries": [[p.to_pairs() for p in row] for row in m.entries],
     }
+
+
+def _json_list(items, inner: str, outer: str) -> str:
+    """A JSON list of already-rendered items, laid out as json.dumps(indent=2)."""
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
+def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
+    """Append the JSON text of ``matrix_to_json_obj(m)`` to ``parts``.
+
+    The pieces join to ``json.dumps(matrix_to_json_obj(m), indent=2)`` with
+    every newline followed by ``2 * depth`` more spaces, which is how
+    json.dumps lays the object out as a value ``depth`` levels down.
+
+    >>> m = PolyMatrix((((1,),),), (((1,),),), ((ONE,),))
+    >>> parts = []
+    >>> append_matrix_json(parts, m)
+    >>> "".join(parts) == json.dumps(matrix_to_json_obj(m), indent=2)
+    True
+    """
+    i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
+    cells: dict[LaurentPoly, str] = {ZERO: "[]"}
+
+    def labels(labs) -> str:
+        return _json_list([json.dumps(format_multipartition(x)) for x in labs], i2, i1)
+
+    parts.append("{" + i1 + '"row_labels": ' + labels(m.row_labels))
+    parts.append("," + i1 + '"col_labels": ' + labels(m.col_labels))
+    parts.append("," + i1 + '"entries": ')
+    if not m.entries:
+        parts.append("[]")
+    else:
+        row_sep = "[" + i2
+        for row in m.entries:
+            try:
+                texts = list(map(cells.__getitem__, row))
+            except KeyError:
+                for p in row:
+                    if p not in cells:
+                        # a cell sits three levels below the matrix object
+                        cells[p] = json.dumps(p.to_pairs(), indent=2).replace("\n", i3)
+                texts = list(map(cells.__getitem__, row))
+            parts.append(row_sep + _json_list(texts, i3, i2))
+            row_sep = "," + i2
+        parts.append(i1 + "]")
+    parts.append(i0 + "}")
 
 
 def matrix_to_text(m: PolyMatrix) -> str:

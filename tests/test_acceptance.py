@@ -7,6 +7,7 @@ holds, so a verbose run shows one verdict line per guarantee.
 from __future__ import annotations
 
 import inspect
+import json
 import time
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from fockdec.canonical import (
     canonical_basis,
     peeling_sequence,
 )
+from fockdec.cli import main as cli_main
 from fockdec.combinatorics import (
     Ordering,
     addable_nodes,
@@ -297,3 +299,51 @@ def test_acceptance_8_order_sanity(capsys):
                     ):
                         assert rel[a, c] is Ordering.GREATER  # transitive
     announce(capsys, 8)
+
+
+def _cli_json(capsys, *argv):
+    rc = cli_main([str(a) for a in argv] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0, argv
+    return json.loads(out)
+
+
+def test_acceptance_9_large_e_is_generic(capsys):
+    """Once e > (charge spread) + 2n - 2 no two nodes of a rank-n
+    multipartition share a residue unless they share a content, so
+    G_e = G_inf and the relative matrix is the identity."""
+    configs = 0
+    for charges in SWEEP_CHARGES.values():
+        for charge in dict.fromkeys(charges + [c[::-1] for c in charges]):
+            spread = max(charge) - min(charge)
+            for n in range(SWEEP_MAX_RANK + 1):
+                e = max(2, spread + 2 * n - 1)
+                obj = _cli_json(capsys, "factorize", "--e", e,
+                                "--charge=" + ",".join(map(str, charge)), "--rank", n)
+                assert obj["all_pass"] is True
+                assert obj["basis_e"] == obj["basis_inf"]
+                rel = obj["relative"]
+                assert rel["row_labels"] == rel["col_labels"] == obj["basis_e"]["col_labels"]
+                for i, row in enumerate(rel["entries"]):
+                    assert row == [[[0, 1]] if j == i else [] for j in range(len(row))]
+                configs += 1
+    announce(capsys, 9, f" ({configs} configurations)")
+
+
+def test_acceptance_10_uniform_charge_shift(capsys):
+    """Adding k to every charge component shifts every residue by k, so
+    the labels and coefficients of the canonical basis do not change."""
+    configs = 0
+    for charges in SWEEP_CHARGES.values():
+        for charge in charges:
+            for e in ("2", "3", "inf"):
+                for n in range(SWEEP_MAX_RANK + 1):
+                    base = _cli_json(capsys, "canonical", "--e", e,
+                                     "--charge=" + ",".join(map(str, charge)), "--rank", n)
+                    for k in (1, -3):
+                        shifted = ",".join(str(s + k) for s in charge)
+                        obj = _cli_json(capsys, "canonical", "--e", e,
+                                        f"--charge={shifted}", "--rank", n)
+                        assert obj["matrix"] == base["matrix"], (e, charge, k, n)
+                        configs += 1
+    announce(capsys, 10, f" ({configs} configurations)")

@@ -7,7 +7,21 @@ import subprocess
 import sys
 
 import fockdec.cli
+from fockdec.canonical import (
+    MissingPredecessor,
+    OrderViolation,
+    PeelingUnitriangularityViolated,
+    canonical_basis,
+)
 from fockdec.cli import main
+from fockdec.factorize import (
+    NotInBInfinity,
+    basis_matrix,
+    extract_relative,
+    matrix_to_json_obj,
+    verify,
+)
+from fockdec.laurent import DivisionNotExact
 
 GOLDEN_CANONICAL_CSV = (
     ",-|3,1|2,-|2.1\n"
@@ -354,3 +368,60 @@ def test_repeated_main_calls_match_a_fresh_parser(capsys, monkeypatch):
     assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 0]
     assert "--charge" in shared[0][2]
     assert shared[1][1].startswith("usage: fockdec")
+
+
+def _reference_json(cmd, e_text, charge_text, n):
+    """The JSON text of a canonical/factorize call, built with json.dumps."""
+    e = None if e_text == "inf" else int(e_text)
+    charge = tuple(int(c) for c in charge_text.split(","))
+    basis = canonical_basis(e, charge, n)
+    if cmd == "canonical":
+        obj = {"e": e_text, "charge": list(charge), "rank": n,
+               "matrix": matrix_to_json_obj(basis_matrix(basis))}
+    else:
+        ginf = canonical_basis(None, charge, n)
+        de, dinf, drel = basis_matrix(basis), basis_matrix(ginf), extract_relative(basis, ginf)
+        report = verify(de, dinf, drel, charge)
+        obj = {"e": e, "charge": list(charge), "rank": n,
+               "basis_e": matrix_to_json_obj(de), "basis_inf": matrix_to_json_obj(dinf),
+               "relative": matrix_to_json_obj(drel), "report": report,
+               "all_pass": all(item["pass"] for item in report)}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+JSON_SWEEP = [
+    (cmd, e, charge, n)
+    for cmd in ("canonical", "factorize")
+    for e in ("2", "3", "inf")
+    if not (cmd == "factorize" and e == "inf")
+    for charge, ranks in (("0", (0, 1, 4)), ("0,1", (0, 2, 4)), ("-1,-1", (3,)),
+                          ("2,0,1", (0, 3)))
+    for n in ranks
+]
+
+
+def test_json_output_is_json_dumps_of_the_structure(capsys):
+    for cmd, e, charge, n in JSON_SWEEP:
+        argv = [cmd, "--e", e, f"--charge={charge}", "--rank", str(n), "--format", "json"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == "", argv
+        assert out == _reference_json(cmd, e, charge, n), argv
+
+
+def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
+    failures = [OrderViolation, PeelingUnitriangularityViolated, MissingPredecessor,
+                NotInBInfinity, DivisionNotExact]
+    targets = [("canonical_basis", "canonical"), ("canonical_basis", "factorize"),
+               ("extract_relative", "factorize")]
+    for exc_type in failures:
+
+        def boom(*args, **kwargs):
+            raise exc_type("first line\nsecond line")
+
+        for attr, cmd in targets:
+            with monkeypatch.context() as patch:
+                patch.setattr(fockdec.cli, attr, boom)
+                rc, out, err = run(capsys, cmd, "--e", "2", "--charge", "0,0", "--rank", "2")
+            assert rc == 1, (exc_type, attr, cmd)
+            assert out == ""
+            assert err == f"fockdec: {exc_type.__name__}: first line\n"

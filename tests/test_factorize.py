@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockdec.canonical import canonical_basis
@@ -15,6 +17,7 @@ from fockdec.factorize import (
     PolyMatrix,
     _int_matmul,
     all_pass,
+    append_matrix_json,
     back_substitution_oracle,
     basis_matrix,
     extract_relative,
@@ -25,7 +28,7 @@ from fockdec.factorize import (
     matrix_to_text,
     verify,
 )
-from fockdec.laurent import ONE, ZERO, LaurentPoly, qint
+from fockdec.laurent import ONE, V, ZERO, LaurentPoly, qint
 
 GOLDEN_REL_CSV = (
     ",-|3,1|2,-|2.1\n"
@@ -371,6 +374,60 @@ def test_matrix_renderings():
     assert latex.startswith("\\begin{array}")
     assert "\\cdot" in latex and "\\hline" in latex
     assert "v^{2}" in latex
+
+
+MP_LABELS = [((), ()), ((1,), ()), ((), (1,)), ((2,), (1,)), ((1, 1), (3,)), ((), (2, 1, 1))]
+big_coeffs = st.integers(-(2**70), 2**70).filter(bool)
+wide_polys = st.builds(
+    LaurentPoly.from_pairs,
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-4, 4) | big_coeffs), max_size=4),
+)
+
+
+@st.composite
+def json_matrices(draw):
+    """Matrices with empty shapes, negative and huge coefficients, and equal
+    cells that are distinct objects (including zeros other than ZERO)."""
+    rows = draw(st.lists(st.sampled_from(MP_LABELS), max_size=4, unique=True))
+    cols = draw(st.lists(st.sampled_from(MP_LABELS), max_size=4, unique=True))
+    pool = draw(st.lists(wide_polys, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool)), min_size=len(rows) * len(cols),
+                          max_size=len(rows) * len(cols)))
+    cells = [ZERO if k == len(pool) else LaurentPoly(pool[k].val, pool[k].coeffs)
+             for k in picks]
+    entries = tuple(tuple(cells[r * len(cols):(r + 1) * len(cols)]) for r in range(len(rows)))
+    return PolyMatrix(tuple(rows), tuple(cols), entries)
+
+
+@given(json_matrices(), st.integers(0, 2))
+@example(PolyMatrix((((), ()),), (((), ()),), ((ONE,),)), 1)
+@settings(max_examples=200, deadline=None)
+def test_matrix_json_text_matches_json_dumps(m, depth):
+    """The direct text equals json.dumps(indent=2) of the documented
+    structure, placed ``depth`` levels deep in enclosing objects."""
+    parts = []
+    append_matrix_json(parts, m, depth)
+    text = "".join(parts)
+    nested = matrix_to_json_obj(m)
+    for _ in range(depth):
+        nested = {"m": nested}
+    head = "".join('{\n' + "  " * (k + 1) + '"m": ' for k in range(depth))
+    tail = "".join("\n" + "  " * k + "}" for k in reversed(range(depth)))
+    assert head + text + tail == json.dumps(nested, indent=2)
+
+
+def test_matrix_json_formats_each_distinct_cell_once(monkeypatch):
+    calls = []
+    to_pairs = LaurentPoly.to_pairs
+    monkeypatch.setattr(LaurentPoly, "to_pairs", lambda p: calls.append(p) or to_pairs(p))
+    labels = tuple(MP_LABELS[:3])
+    cells = (
+        (LaurentPoly(1, (1,)), LaurentPoly(0, ()), LaurentPoly(1, (1,))),
+        (LaurentPoly(0, ()), LaurentPoly(1, (1,)), LaurentPoly(-2, (2**65, 0, -1))),
+        (LaurentPoly(1, (1,)), LaurentPoly(-2, (2**65, 0, -1)), ZERO),
+    )
+    append_matrix_json([], PolyMatrix(labels, labels, cells), 1)
+    assert sorted(calls, key=lambda p: p.val) == [LaurentPoly(-2, (2**65, 0, -1)), V]
 
 
 def test_error_types():
