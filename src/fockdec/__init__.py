@@ -2,7 +2,7 @@
 
 Modules
 -------
-laurent        exact Laurent polynomials over Z; compiled kernel selection
+laurent        exact Laurent polynomials over Z
 combinatorics  multipartitions, nodes, the charged dominance order
 fock           the level-l v-deformed Fock space and its operators
 crystal        good nodes, crystal components, graph export
@@ -10,10 +10,6 @@ canonical      bar-invariant canonical bases via peeling and elimination
 factorize      decomposition matrices, relative factor extraction, checks
 abacus         level-l abacus correspondence and reading sequences
 cli            the fockdec command line
-
-The heavy polynomial arithmetic runs on a small compiled Cython core
-(fockdec._poly_cy) when available, with a byte-identical pure-Python twin
-(fockdec._poly_py) selected automatically otherwise; see fockdec.laurent.
 """
 
 __version__ = "0.1.0"

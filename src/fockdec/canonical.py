@@ -19,7 +19,9 @@ offender on demand, recursively; subtracting it removes the excess as well,
 and the diagonal coefficient is checked to be exactly 1 only after
 reduction.  A dependency cycle between vertices would make the system
 unsolvable by this route and raises OrderViolation; none has been
-observed.
+observed.  Every other internal check (peeling runs out of good nodes,
+elimination does not terminate or leaves an off-label coefficient outside
+v*Z[v]) raises InvariantViolated, so it holds under python -O as well.
 
 The construction never uses dominance of the charge, so it runs at any
 charge directly.  All peeling words of a rank are applied in one pass
@@ -57,6 +59,7 @@ __all__ = [
     "PeelingUnitriangularityViolated",
     "MissingPredecessor",
     "OrderViolation",
+    "InvariantViolated",
     "CanonicalBasisSet",
     "peeling_sequence",
     "build_A",
@@ -77,6 +80,10 @@ class MissingPredecessor(RuntimeError):
 
 class OrderViolation(RuntimeError):
     """Basis vectors depend on each other in a cycle."""
+
+
+class InvariantViolated(RuntimeError):
+    """Peeling or elimination reached a state that its invariants rule out."""
 
 
 def peeling_sequence(
@@ -106,7 +113,11 @@ def peeling_sequence(
         seq.append((i, u))
         for _ in range(u):
             nxt = remove_good(cur, e, i, charge)
-            assert nxt is not None
+            if nxt is None:
+                raise InvariantViolated(
+                    f"{format_multipartition(cur)} has no good {i}-node left "
+                    f"of the {u} that epsilon counted"
+                )
             cur = nxt
     return tuple(seq)
 
@@ -216,13 +227,20 @@ def _reduce(
         if offender is None:
             return x, corrections
         m = bar_symmetric_part(x.coeff(offender))
-        assert m.is_bar_symmetric() and not m.is_zero()
+        if m.is_zero() or not m.is_bar_symmetric():
+            raise InvariantViolated(
+                f"bar-symmetric part {m} of the coefficient "
+                f"{x.coeff(offender)} of {format_multipartition(offender)}"
+            )
         g = resolve(offender)
         corrections[offender] = corrections.get(offender, LaurentPoly()) + m
         x = x - g.scale(m)
         guard += 1
         if guard > limit:
-            raise RuntimeError("elimination failed to terminate")
+            raise InvariantViolated(
+                f"elimination for {format_multipartition(label)} failed to "
+                f"terminate within {limit} steps"
+            )
 
 
 def canonical_basis(
@@ -290,8 +308,11 @@ def _check_reduced(g: FockVector, label: Multipartition) -> None:
             "after reduction"
         )
     for mp, c in g.entries.items():
-        if mp != label:
-            assert c.in_v_ztimes(), f"{format_multipartition(mp)}: {c}"
+        if mp != label and not c.in_v_ztimes():
+            raise InvariantViolated(
+                f"coefficient of {format_multipartition(mp)} is {c} after reducing "
+                f"{format_multipartition(label)}, not in v*Z[v]"
+            )
 
 
 def brute_force_basis(

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
 from .canonical import (
+    InvariantViolated,
     MissingPredecessor,
     OrderViolation,
     PeelingUnitriangularityViolated,
@@ -76,6 +77,7 @@ INTERNAL_FAILURES = (
     OrderViolation,
     PeelingUnitriangularityViolated,
     MissingPredecessor,
+    InvariantViolated,
     NotInBInfinity,
     DivisionNotExact,
 )

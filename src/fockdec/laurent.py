@@ -12,29 +12,15 @@ bar-symmetric truncation used by basis eliminations all live here.
 >>> str(qint(3) * qint(2))
 'v^-3 + 2*v^-1 + 2*v + v^3'
 
-The term-level arithmetic is delegated to a kernel module: the compiled
-fockdec._poly_cy when it imported cleanly, else the pure-Python
-fockdec._poly_py.  Setting the environment variable FOCKDEC_PURE=1 before
-import forces the pure kernel.  Both kernels use arbitrary-precision integer
-coefficients; results are identical.
+Coefficients are arbitrary-precision Python ints.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Mapping
 
-from . import _poly_py
-
-if os.environ.get("FOCKDEC_PURE") == "1":
-    _kernel = _poly_py
-else:
-    try:
-        from . import _poly_cy as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _poly_py
-
-KERNEL = _kernel.KERNEL
+# the one implementation's name, still read into benchmark run metadata
+KERNEL = "python"
 
 __all__ = [
     "LaurentPoly",
@@ -130,7 +116,7 @@ class LaurentPoly:
 
     def is_bar_symmetric(self) -> bool:
         """True when invariant under v -> 1/v."""
-        return _kernel.bar(self.val, self.coeffs) == (self.val, self.coeffs)
+        return self.bar() == self
 
     def is_nonneg(self) -> bool:
         """True when every coefficient is >= 0."""
@@ -155,32 +141,58 @@ class LaurentPoly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(*_kernel.add(self.val, self.coeffs, other.val, other.coeffs))
+        ac, bc = self.coeffs, other.coeffs
+        if not ac:
+            return other
+        if not bc:
+            return self
+        lo = min(self.val, other.val)
+        out = [0] * (max(self.val + len(ac), other.val + len(bc)) - lo)
+        for k, x in enumerate(ac, self.val - lo):
+            out[k] += x
+        for k, x in enumerate(bc, other.val - lo):
+            out[k] += x
+        return _normal(lo, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        nv, nc = _kernel.neg(other.val, other.coeffs)
-        return LaurentPoly(*_kernel.add(self.val, self.coeffs, nv, nc))
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(*_kernel.neg(self.val, self.coeffs))
+        return LaurentPoly(self.val, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return LaurentPoly(*_kernel.mul(self.val, self.coeffs, other.val, other.coeffs))
         if isinstance(other, int):
-            return LaurentPoly(*_kernel.mono_mul(self.val, self.coeffs, other, 0))
-        return NotImplemented
+            return self.shift(0, other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        ac, bc = self.coeffs, other.coeffs
+        if not ac or not bc:
+            return ZERO
+        out = [0] * (len(ac) + len(bc) - 1)
+        for k, x in enumerate(ac):
+            if x:
+                for j, y in enumerate(bc, k):
+                    if y:
+                        out[j] += x * y
+        # ends are products of nonzero ints, so no trim needed
+        return LaurentPoly(self.val + other.val, tuple(out))
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
 
     def shift(self, exp: int, coeff: int = 1) -> "LaurentPoly":
         """Multiply by coeff * v**exp."""
-        return LaurentPoly(*_kernel.mono_mul(self.val, self.coeffs, coeff, exp))
+        if coeff == 0 or not self.coeffs:
+            return ZERO
+        if coeff == 1:
+            return LaurentPoly(self.val + exp, self.coeffs)
+        return LaurentPoly(self.val + exp, tuple(coeff * x for x in self.coeffs))
 
     def bar(self) -> "LaurentPoly":
         """Apply the involution v -> 1/v."""
-        return LaurentPoly(*_kernel.bar(self.val, self.coeffs))
+        if not self.coeffs:
+            return ZERO
+        return LaurentPoly(1 - self.val - len(self.coeffs), self.coeffs[::-1])
 
     # -- comparisons and formatting --------------------------------------
 
@@ -260,10 +272,32 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    got = _kernel.exact_div(p.val, p.coeffs, q.val, q.coeffs)
-    if got is None:
-        raise DivisionNotExact(f"({p}) / ({q})")
-    return LaurentPoly(*got)
+    bc = q.coeffs
+    n = max(len(p.coeffs) - len(bc) + 1, 0)
+    rem = list(p.coeffs)
+    quo = [0] * n
+    for k in range(n):
+        quo[k], r = divmod(rem[k], bc[0])
+        if r:
+            break
+        for j in range(1, len(bc)):
+            rem[k + j] -= quo[k] * bc[j]
+    else:
+        if not any(rem[n:]):
+            return _normal(p.val - q.val, quo)
+    raise DivisionNotExact(f"({p}) / ({q})")
+
+
+def _normal(val: int, coeffs: list[int]) -> LaurentPoly:
+    """The polynomial sum(coeffs[k] * v**(val + k)), its zero ends trimmed."""
+    lo, hi = 0, len(coeffs)
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+    while hi > lo and coeffs[hi - 1] == 0:
+        hi -= 1
+    if lo == hi:
+        return ZERO
+    return LaurentPoly(val + lo, tuple(coeffs[lo:hi]))
 
 
 def bar_symmetric_part(p: LaurentPoly) -> LaurentPoly:

@@ -347,3 +347,56 @@ def test_acceptance_10_uniform_charge_shift(capsys):
                         assert obj["matrix"] == base["matrix"], (e, charge, k, n)
                         configs += 1
     announce(capsys, 10, f" ({configs} configurations)")
+
+
+def _partitions(m, cap=None):
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, cap or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _beads(lam, count):
+    """The bead positions (beta numbers) of lam with ``count`` beads."""
+    padded = lam + (0,) * (count - len(lam))
+    return {part + count - 1 - k for k, part in enumerate(padded)}
+
+
+def _from_beads(beads):
+    ordered = sorted(beads, reverse=True)
+    return tuple(p for p in (b - (len(beads) - 1 - k) for k, b in enumerate(ordered)) if p)
+
+
+def test_acceptance_11_weight_one_blocks(capsys):
+    """At level 1 the block of an e-core of size n - e has e partitions,
+    one per runner bead moved down by e.  In gamma order (lexicographic at
+    level 1) each but the last labels a basis vector lam + v*lam', lam' the
+    next partition of the block, and the last is no crystal vertex."""
+    blocks = 0
+    for e in range(2, 6):
+        for n in range(e, 9):
+            obj = _cli_json(capsys, "canonical", "--e", e, "--charge", "0", "--rank", n)
+            mat = obj["matrix"]
+            columns = {
+                col: {mat["row_labels"][r]: row[c]
+                      for r, row in enumerate(mat["entries"]) if row[c]}
+                for c, col in enumerate(mat["col_labels"])
+            }
+            for core in _partitions(n - e):
+                beads = _beads(core, len(core) + e)
+                if any(b >= e and b - e not in beads for b in beads):
+                    continue
+                block = sorted(
+                    (_from_beads(beads - {b} | {b + e}) for b in beads if b + e not in beads),
+                    reverse=True,
+                )
+                labels = [".".join(map(str, lam)) or "-" for lam in block]
+                assert len(labels) == e
+                for lam, nxt in zip(labels, labels[1:]):
+                    assert columns[lam] == {lam: [[0, 1]], nxt: [[1, 1]]}, (e, n, lam)
+                assert labels[-1] not in columns
+                blocks += 1
+    assert blocks == 26
+    announce(capsys, 11, f" ({blocks} blocks)")

@@ -8,6 +8,7 @@ import sys
 
 import fockdec.cli
 from fockdec.canonical import (
+    InvariantViolated,
     MissingPredecessor,
     OrderViolation,
     PeelingUnitriangularityViolated,
@@ -410,7 +411,7 @@ def test_json_output_is_json_dumps_of_the_structure(capsys):
 
 def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
     failures = [OrderViolation, PeelingUnitriangularityViolated, MissingPredecessor,
-                NotInBInfinity, DivisionNotExact]
+                InvariantViolated, NotInBInfinity, DivisionNotExact]
     targets = [("canonical_basis", "canonical"), ("canonical_basis", "factorize"),
                ("extract_relative", "factorize")]
     for exc_type in failures:
@@ -425,3 +426,37 @@ def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
             assert rc == 1, (exc_type, attr, cmd)
             assert out == ""
             assert err == f"fockdec: {exc_type.__name__}: first line\n"
+
+
+# canonical._reduce cut short after its first correction, then the CLI run
+REDUCE_ONCE = """
+import sys
+from fockdec import canonical, cli
+from fockdec.combinatorics import gamma_sequence
+from fockdec.laurent import bar_symmetric_part
+
+def reduce_once(x, label, charge, resolve):
+    offenders = [mp for mp, c in x.entries.items() if mp != label and not c.in_v_ztimes()]
+    if not offenders:
+        return x, {}
+    mp = max(offenders, key=lambda m: gamma_sequence(m, charge))
+    m = bar_symmetric_part(x.coeff(mp))
+    return x - resolve(mp).scale(m), {mp: m}
+
+canonical._reduce = reduce_once
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_unfinished_reduction_exits_one_with_one_line():
+    argv = ["canonical", "--e", "2", "--charge=0,0", "--rank", "5", "--format", "json"]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", REDUCE_ONCE, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (flags, proc.stderr)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("fockdec: InvariantViolated: "), proc.stderr

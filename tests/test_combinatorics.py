@@ -6,6 +6,8 @@ import inspect
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockdec.combinatorics import (
     Node,
@@ -31,6 +33,7 @@ from fockdec.combinatorics import (
     remove_node,
     residue,
 )
+from fockdec.fock import _i_nodes
 
 
 def mp(text):
@@ -114,12 +117,43 @@ def test_content_residue_and_node_order():
     assert content(Node(2, 3, 2), (0, 5)) == 6
     assert residue(7, 3) == 1
     assert residue(-1, 2) == 1
+    assert residue(-1, 3) == 2
     assert residue(-1, None) == -1
     assert node_key(Node(1, 2, 2), (0, 0)) == (1, 2)
     assert node_less(Node(1, 1, 1), Node(1, 1, 2), (0, 0))
     assert not node_less(Node(1, 1, 2), Node(1, 1, 1), (0, 0))
     # a later component with smaller content still sorts first
     assert node_less(Node(1, 1, 2), Node(1, 1, 1), (0, -3))
+
+
+@st.composite
+def charged_multipartitions(draw):
+    """(e, charge, multipartition): level 1-3, charges down to -5."""
+    e = draw(st.sampled_from((2, 3, 5, None)))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-5, 2), min_size=level, max_size=level)))
+    parts = st.lists(st.integers(1, 5), max_size=4).map(lambda p: tuple(sorted(p, reverse=True)))
+    return e, charge, tuple(draw(st.lists(parts, min_size=level, max_size=level)))
+
+
+@given(charged_multipartitions())
+@settings(max_examples=200, deadline=None)
+def test_residue_filters_follow_the_one_residue_rule(case):
+    e, charge, lam = case
+    adds = addable_nodes(lam, charge)
+    rems = removable_nodes(lam, charge)
+    if e is None:
+        residues = sorted({content(n, charge) for n in adds + rems} | {min(charge) - 9})
+    else:
+        residues = range(e)
+    for i in residues:
+        want_adds = [n for n in adds if residue(content(n, charge), e) == i]
+        want_rems = [n for n in rems if residue(content(n, charge), e) == i]
+        assert addable_nodes(lam, charge, e, i) == want_adds
+        assert removable_nodes(lam, charge, e, i) == want_rems
+        scan_adds, scan_rems = _i_nodes(lam, charge, e, i)
+        assert scan_adds == [(node_key(n, charge), n.comp - 1, n.row - 1) for n in want_adds]
+        assert scan_rems == [node_key(n, charge) for n in want_rems]
 
 
 def test_addable_removable_fixtures():

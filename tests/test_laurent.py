@@ -1,9 +1,5 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,19 +32,7 @@ laurent_polys = st.builds(
 
 
 def test_kernel_is_declared():
-    assert laurent.KERNEL in ("cython", "python")
-
-
-def test_pure_python_fallback_can_be_forced():
-    env = dict(os.environ, FOCKDEC_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from fockdec import laurent; print(laurent.KERNEL)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+    assert laurent.KERNEL == "python"
 
 
 def test_zero_and_one_normal_forms():
@@ -128,6 +112,83 @@ def test_exact_division_inverts_multiplication(a, b):
             exact_div(a * b, b)
     else:
         assert exact_div(a * b, b) == a
+
+
+# A reference for the term arithmetic: polynomials as {exponent: coefficient}
+# dicts with no zero values.  Division runs top-down, the opposite direction
+# from exact_div.
+
+
+def _terms(p: LaurentPoly) -> dict[int, int]:
+    """The terms of p, after checking that p is in normal form."""
+    assert isinstance(p, LaurentPoly) and isinstance(p.coeffs, tuple)
+    if p.coeffs:
+        assert p.coeffs[0] != 0 and p.coeffs[-1] != 0, repr(p)
+    else:
+        assert p.val == 0 and p == ZERO == LaurentPoly(0, ()), repr(p)
+    return {p.val + k: c for k, c in enumerate(p.coeffs) if c}
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_div(a: dict, b: dict):
+    """The quotient a / b as terms, or None when there is none."""
+    rem: dict[int, int] = dict(a)
+    quo: dict[int, int] = {}
+    if not rem:
+        return quo
+    top = max(b)
+    for k in range(max(a) - top, min(a) - min(b) - 1, -1):
+        q, r = divmod(rem.get(k + top, 0), b[top])
+        if r:
+            return None
+        if q:
+            quo[k] = q
+            rem = _ref_add(rem, {e + k: c * q for e, c in b.items()}, -1)
+    return None if rem else quo
+
+
+@given(
+    laurent_polys,
+    laurent_polys,
+    st.integers(-3, 3),
+    st.integers(-4, 4),
+    st.sampled_from([0, 1]) | st.integers(-5, 5),
+)
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_matches_the_dict_reference(a, b, k, exp, coeff):
+    ta, tb = _terms(a), _terms(b)
+    assert _terms(a + b) == _ref_add(ta, tb)
+    assert _terms(a - b) == _ref_add(ta, tb, -1)
+    assert _terms(-a) == _ref_add({}, ta, -1)
+    assert _terms(a * b) == _ref_mul(ta, tb)
+    assert _terms(a * k) == _terms(k * a) == _ref_mul(ta, {0: k} if k else {})
+    assert _terms(a.shift(exp, coeff)) == _ref_mul(ta, {exp: coeff} if coeff else {})
+    mirrored = {-e: c for e, c in ta.items()}
+    assert _terms(a.bar()) == mirrored
+    assert a.is_bar_symmetric() == (ta == mirrored)
+    if not tb:
+        return
+    for p in (a * b, a, a * b + ONE):
+        want = _ref_div(_terms(p), tb)
+        if want is None:
+            with pytest.raises(DivisionNotExact):
+                exact_div(p, b)
+        else:
+            assert _terms(exact_div(p, b)) == want
 
 
 def test_inexact_division_raises():
