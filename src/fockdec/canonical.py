@@ -4,11 +4,20 @@ For each crystal vertex of the requested rank, a monomial in divided powers
 of the raising operators is read off by maximal good-node peeling: starting
 from the vertex, repeatedly pick the residue whose good removable node is
 greatest in the node order, remove good nodes epsilon many times, and
-recurse until the empty multipartition.  Applying the reversed monomial to
-the vacuum yields a bar-invariant vector supported at the vertex.  A
-Gaussian pass then subtracts bar-symmetric multiples of other basis vectors
-until every off-diagonal coefficient lies in v*Z[v]; the result is the
-unique bar-invariant basis vector congruent to its vertex modulo v.
+recurse until the empty multipartition.  canonical_basis reads these words
+off the reverse edges of the crystal graph it already holds
+(CrystalGraph.peeling_words); peeling_sequence computes the same word from
+good-node signatures and is the independent route of build_A and
+brute_force_basis.  Applying the reversed monomial to the vacuum yields a
+bar-invariant vector supported at the vertex.  A Gaussian pass then
+subtracts bar-symmetric multiples of other basis vectors until every
+off-diagonal coefficient lies in v*Z[v]; the result is the unique
+bar-invariant basis vector congruent to its vertex modulo v.
+
+canonical_basis enumerates the rank layer once, in descending gamma order,
+and gives each multipartition its position in it.  The Gaussian pass
+clears the offender with the least position (the gamma-greatest) first,
+and the layer and positions stay on the result for the matrix layer.
 
 The monomial usually has unit coefficient at its vertex and support below
 it, but not always: from rank 9 on (first at e=2, charge (0,0), vertex
@@ -36,13 +45,14 @@ from typing import Optional
 from .combinatorics import (
     Charge,
     Multipartition,
+    content,
     empty,
+    enumerate_multipartitions,
     format_multipartition,
     gamma_sequence,
     node_key,
-    rank,
     removable_nodes,
-    content,
+    residue,
 )
 from .crystal import (
     CrystalGraph,
@@ -94,13 +104,19 @@ def peeling_sequence(
     Entries are (residue, multiplicity) pairs, first entry peeling mp
     itself.  Raises NotInCrystal when peeling dead-ends before the empty
     multipartition, which happens exactly off the component.
+
+    This is the signature route, kept as the cross-check of
+    CrystalGraph.peeling_words (which canonical_basis uses): every step
+    recomputes the good removable node of each residue that a removable
+    node of the current multipartition carries.
     """
     seq: list[tuple[int, int]] = []
     cur = mp
     vac = empty(len(charge))
     while cur != vac:
         best: Optional[tuple[tuple[int, int], int]] = None
-        for i in _removable_residues(cur, e, charge):
+        present = {residue(content(n, charge), e) for n in removable_nodes(cur, charge)}
+        for i in present:
             node = good_removable_node(cur, e, i, charge)
             if node is not None:
                 key = node_key(node, charge)
@@ -120,14 +136,6 @@ def peeling_sequence(
                 )
             cur = nxt
     return tuple(seq)
-
-
-def _removable_residues(
-    mp: Multipartition, e: Optional[int], charge: Charge
-) -> list[int]:
-    if e is not None:
-        return list(range(e))
-    return sorted({content(n, charge) for n in removable_nodes(mp, charge)})
 
 
 def apply_peeling(
@@ -186,7 +194,9 @@ class CanonicalBasisSet:
     ``vectors``/``avectors``/``peelings``/``corrections`` are keyed by
     label.  ``corrections[lam]`` holds the bar-symmetric coefficients m
     with A(lam) = G(lam) + sum m[mu] G(mu).  The labels are the rank-n
-    crystal vertices.
+    crystal vertices.  ``layer`` is every rank-n multipartition in
+    descending gamma order (the matrix row order) and ``position`` maps
+    each to its index there.
     """
 
     e: Optional[int]
@@ -197,35 +207,35 @@ class CanonicalBasisSet:
     avectors: dict[Multipartition, FockVector]
     peelings: dict[Multipartition, tuple[tuple[int, int], ...]]
     corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]]
+    layer: tuple[Multipartition, ...]
+    position: dict[Multipartition, int]
 
 
 def _reduce(
     x: FockVector,
     label: Multipartition,
-    charge: Charge,
+    position: dict[Multipartition, int],
     resolve,
 ) -> tuple[FockVector, dict[Multipartition, LaurentPoly]]:
     """Subtract resolved basis vectors until off-label coefficients sit in v*Z[v].
 
-    Offenders are cleared greatest-gamma first; ``resolve(mp)`` must return
-    the finished basis vector at mp, building it first if necessary.  An
-    offender gamma-greater than the label is legitimate: the peeling
-    monomials are not always triangular, and subtracting the offender's
-    basis vector also removes the excess it contributed on the label.
+    Offenders are cleared greatest-gamma first, i.e. least ``position``
+    in the rank layer; ``resolve(mp)`` must return the finished basis
+    vector at mp, building it first if necessary.  An offender
+    gamma-greater than the label is legitimate: the peeling monomials are
+    not always triangular, and subtracting the offender's basis vector
+    also removes the excess it contributed on the label.
     """
     corrections: dict[Multipartition, LaurentPoly] = {}
     guard = 0
     limit = 4 * len(x.entries) + 64
     while True:
-        offender = None
-        for mp, c in x.entries.items():
-            if mp != label and not c.in_v_ztimes():
-                if offender is None or gamma_sequence(mp, charge) > gamma_sequence(
-                    offender, charge
-                ):
-                    offender = mp
-        if offender is None:
+        offenders = [
+            mp for mp, c in x.entries.items() if mp != label and not c.in_v_ztimes()
+        ]
+        if not offenders:
             return x, corrections
+        offender = min(offenders, key=position.__getitem__)
         m = bar_symmetric_part(x.coeff(offender))
         if m.is_zero() or not m.is_bar_symmetric():
             raise InvariantViolated(
@@ -248,15 +258,19 @@ def canonical_basis(
 ) -> CanonicalBasisSet:
     """The canonical basis vectors labeled by rank-n crystal vertices.
 
+    Peeling words are read off the graph (generated here when not given).
     Vertices are processed in ascending gamma order; when a peeling
     monomial carries a gamma-greater vertex, that vertex's basis vector is
     built first, recursively.
     """
     if graph is None:
         graph = generate_component(e, charge, n)
+    layer = tuple(enumerate_multipartitions(len(charge), n, charge))
+    position = {mp: k for k, mp in enumerate(layer)}
     verts_desc = list(graph.vertices(n))
     vert_set = set(verts_desc)
-    peelings = {lam: peeling_sequence(lam, e, charge) for lam in verts_desc}
+    words = graph.peeling_words
+    peelings = {lam: words[lam] for lam in verts_desc}
     avectors = dict(zip(peelings, apply_peelings(list(peelings.values()), e, charge)))
     table: dict[Multipartition, FockVector] = {}
     corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
@@ -279,7 +293,7 @@ def canonical_basis(
             raise OrderViolation(f"basis vectors depend on each other: {chain}")
         building.append(lam)
         try:
-            g, corr = _reduce(avectors[lam], lam, charge, resolve)
+            g, corr = _reduce(avectors[lam], lam, position, resolve)
             _check_reduced(g, lam)
             corrections[lam] = corr
             table[lam] = g
@@ -298,6 +312,8 @@ def canonical_basis(
         avectors=avectors,
         peelings=peelings,
         corrections=corrections,
+        layer=layer,
+        position=position,
     )
 
 

@@ -172,7 +172,7 @@ def cmd_canonical(cfg: RunConfig) -> int:
     if _guard_tripped(cfg):
         return _fail(_guard_message(cfg), 3)
     basis = canonical_basis(cfg.e, cfg.charge, cfg.rank)
-    m = basis_matrix(basis, cfg.pad)
+    m = basis_matrix(basis)
     if cfg.format == "json":
         _out_json(
             {"e": _e_text(cfg.e), "charge": list(cfg.charge), "rank": cfg.rank, "matrix": m}
@@ -196,8 +196,8 @@ def cmd_factorize(cfg: RunConfig) -> int:
         return _fail(_guard_message(cfg), 3)
     ge = canonical_basis(cfg.e, cfg.charge, cfg.rank)
     ginf = canonical_basis(None, cfg.charge, cfg.rank)
-    de = basis_matrix(ge, cfg.pad)
-    dinf = basis_matrix(ginf, cfg.pad)
+    de = basis_matrix(ge)
+    dinf = basis_matrix(ginf)
     try:
         drel = extract_relative(ge, ginf)
     except NonTermination as exc:

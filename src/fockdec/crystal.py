@@ -11,7 +11,10 @@ epsilon counts the removable block.
 Adding the good addable node is injective with inverse "remove the good
 removable node", which makes the set of multipartitions reachable from the
 empty one a combinatorial component that this module generates rank by
-rank.
+rank.  Its reverse edges carry each vertex's maximal good-node peeling
+word (CrystalGraph.peeling_words): the i-predecessor of a vertex is the
+vertex minus its good removable i-node, and epsilon is the length of the
+i-string back from it.
 
 >>> good_node(((), ()), 2, 0, (0, 0))
 Node(row=1, col=1, comp=2)
@@ -22,6 +25,7 @@ Node(row=1, col=1, comp=2)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .combinatorics import (
@@ -142,6 +146,36 @@ class CrystalGraph:
         r = sum(sum(c) for c in mp)
         return r <= self.max_rank and mp in self.layers[r]
 
+    @cached_property
+    def peeling_words(self) -> dict[Multipartition, tuple[tuple[int, int], ...]]:
+        """The maximal good-node peeling word of every vertex, off the edges.
+
+        Entries are (residue, multiplicity) pairs, first entry peeling the
+        vertex itself, as in canonical.peeling_sequence.  A vertex's
+        i-predecessors are its good removable i-nodes taken away one at a
+        time, so the residue to peel is the one whose removed box is
+        greatest by node_key, epsilon is the length of the i-string back,
+        and the rest of the word is that of the vertex the string reaches.
+        Computed bottom-up, once per graph.
+        """
+        down: dict[Multipartition, dict[int, Multipartition]] = {}
+        for (src, i), dst in self.edges.items():
+            down.setdefault(dst, {})[i] = src
+        words = {self.layers[0][0]: ()}
+        for layer in self.layers[1:]:
+            for mp in layer:
+                preds = down[mp]
+                i = max(
+                    preds,
+                    key=lambda r: node_key(_removed_box(mp, preds[r]), self.charge),
+                )
+                cur, u = mp, 0
+                while i in down.get(cur, ()):
+                    cur = down[cur][i]
+                    u += 1
+                words[mp] = ((i, u),) + words[cur]
+        return words
+
     def _listed_edges(self) -> list[tuple[Multipartition, int, Multipartition]]:
         """(source, residue, target) by source in layer order, then residue."""
         by_source: dict[Multipartition, list[tuple[int, Multipartition]]] = {}
@@ -186,6 +220,14 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
+def _removed_box(upper: Multipartition, lower: Multipartition) -> Node:
+    """The one box of upper that lower lacks."""
+    comp = next(k for k, (a, b) in enumerate(zip(upper, lower)) if a != b)
+    a, b = upper[comp], lower[comp] + (0,)
+    row = next(r for r, part in enumerate(a) if part != b[r])
+    return Node(row + 1, a[row], comp + 1)
+
+
 def generate_component(e: Optional[int], charge: Charge, max_rank: int) -> CrystalGraph:
     """Generate the component of the empty multipartition up to max_rank."""
     if max_rank < 0:
@@ -205,6 +247,6 @@ def generate_component(e: Optional[int], charge: Charge, max_rank: int) -> Cryst
         e=e,
         charge=charge,
         max_rank=max_rank,
-        layers=tuple(tuple(gamma_lex_sorted(layer, charge)) for layer in layers),
+        layers=tuple(map(tuple, layers)),
         edges=edges,
     )

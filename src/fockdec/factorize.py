@@ -30,7 +30,6 @@ from .combinatorics import (
     Multipartition,
     Ordering,
     compare_dominance,
-    enumerate_multipartitions,
     format_multipartition,
 )
 from .laurent import ONE, ZERO, LaurentPoly, exact_div
@@ -152,19 +151,22 @@ def _lookup(index: dict[Multipartition, int], label: Multipartition, kind: str) 
         raise ValueError(f"{label!r} is not a {kind} label") from None
 
 
-def basis_matrix(basis: CanonicalBasisSet, pad: int = 0) -> PolyMatrix:
+def basis_matrix(basis: CanonicalBasisSet) -> PolyMatrix:
     """Expand a basis set over all rank-n multipartitions.
 
-    Rows run over the whole rank layer in descending gamma order at the
-    basis charge; columns over the basis labels in their stored order.
+    Rows run over the basis's rank layer (descending gamma order at the
+    basis charge), columns over the basis labels in their stored order.
+    Each vector's entries are scattered into the table by position.  The
+    row order does not depend on a gamma pad: padding appends the same
+    entries to every sequence of the layer.
     """
-    level = len(basis.charge)
-    rows = tuple(enumerate_multipartitions(level, basis.rank, basis.charge, pad))
     cols = basis.labels
-    entries = tuple(
-        tuple(basis.vectors[c].coeff(r) for c in cols) for r in rows
-    )
-    return PolyMatrix(rows, cols, entries)
+    table = [[ZERO] * len(cols) for _ in basis.layer]
+    position = basis.position
+    for j, lam in enumerate(cols):
+        for mp, c in basis.vectors[lam].entries.items():
+            table[position[mp]][j] = c
+    return PolyMatrix(basis.layer, cols, tuple(map(tuple, table)))
 
 
 def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatrix:
@@ -180,11 +182,9 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
         raise ValueError(f"rank mismatch: {ge.rank} vs {ginf.rank}")
     if ginf.e is not None:
         raise ValueError("second argument must be a no-modulus basis")
-    charge = ge.charge
-    # rows of the rank layer, descending gamma order: the greatest support
-    # term of a residual is the one with the least position
-    layer = enumerate_multipartitions(len(charge), ge.rank, charge)
-    position = {m: i for i, m in enumerate(layer)}
+    # the greatest support term of a residual is the one with the least
+    # position in the rank layer
+    position = ge.position
     inf_labels = set(ginf.labels)
     cols: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
     for lam in ge.labels:
@@ -195,7 +195,7 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
         steps = 0
         while not resid.is_zero():
             steps += 1
-            if steps > len(layer):
+            if steps > len(position):
                 raise NonTermination(f"column {format_multipartition(lam)}")
             mu = min(resid.entries, key=position.__getitem__)
             if mu not in inf_labels:

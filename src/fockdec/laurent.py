@@ -46,9 +46,10 @@ class LaurentPoly:
     ``val`` is the exponent of the lowest term, ``coeffs`` the tuple of
     integer coefficients from that exponent upward, with nonzero ends.
     Structural equality and hashing; all arithmetic returns new objects.
+    The hash is computed on first use and kept.
     """
 
-    __slots__ = ("val", "coeffs")
+    __slots__ = ("val", "coeffs", "_hash")
 
     def __init__(self, val: int = 0, coeffs: tuple[int, ...] = ()):
         # inputs are trusted to be in normal form; use the constructors
@@ -204,7 +205,11 @@ class LaurentPoly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.val, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.val, self.coeffs))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.val}, {self.coeffs})"

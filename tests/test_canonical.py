@@ -20,11 +20,12 @@ from fockdec.canonical import (
 from fockdec.combinatorics import (
     Ordering,
     compare_dominance,
+    enumerate_multipartitions,
     format_multipartition,
     gamma_sequence,
     parse_multipartition,
 )
-from fockdec.crystal import NotInCrystal
+from fockdec.crystal import NotInCrystal, generate_component
 from fockdec.fock import FockVector, apply_f_divided, basis_vector
 from fockdec.laurent import ONE, LaurentPoly, bar_symmetric_part
 
@@ -47,6 +48,81 @@ def test_peeling_sequence_fixtures():
         (0, 2),
     )
     assert peeling_sequence(mp("-|-"), 2, (0, 0)) == ()
+
+
+# levels 1-3, dominant and non-dominant charges, with the top rank per level
+WORD_SWEEP = [
+    ((0,), 9),
+    ((2,), 9),
+    ((0, 0), 7),
+    ((0, 1), 7),
+    ((1, 3), 7),
+    ((1, -1), 7),
+    ((2, 0), 7),
+    ((0, 0, 0), 5),
+    ((0, 1, 2), 5),
+    ((2, 0, 1), 5),
+    ((1, -1, 2), 5),
+]
+
+
+def test_graph_words_are_the_signature_words():
+    checked = 0
+    for e in (2, 3, 5, None):
+        for charge, top in WORD_SWEEP:
+            graph = generate_component(e, charge, top)
+            words = graph.peeling_words
+            for layer in graph.layers:
+                for lam in layer:
+                    assert words[lam] == peeling_sequence(lam, e, charge), (
+                        e,
+                        charge,
+                        format_multipartition(lam),
+                    )
+                    checked += 1
+            assert len(words) == sum(map(len, graph.layers))
+    assert checked == 4204
+
+
+def test_canonical_basis_keeps_the_graph_words():
+    for e in (2, None):
+        graph = generate_component(e, (0, 1), 5)
+        cb = canonical_basis(e, (0, 1), 5, graph)
+        assert cb.peelings == {lam: graph.peeling_words[lam] for lam in cb.labels}
+
+
+def test_peeling_monomials_first_leave_triangularity_at_rank_9():
+    # the module docstring's claim: at e=2, charge (0,0), no peeling monomial
+    # of rank 1-8 has a term before its label in the layer order; at rank 9
+    # only the one at 3.1|4.1 does, and the vertex among those terms has
+    # bar-symmetric coefficient, matched by an excess on the label
+    for n in range(1, 10):
+        cb = canonical_basis(2, (0, 0), n)
+        early = {}
+        for lam in cb.labels:
+            at = cb.position[lam]
+            terms = [m for m in cb.avectors[lam].entries if cb.position[m] < at]
+            if terms:
+                names = sorted(map(format_multipartition, terms))
+                early[format_multipartition(lam)] = names
+        if n < 9:
+            assert early == {}, n
+        else:
+            assert early == {"3.1|4.1": ["4.1|4", "4|4.1"]}
+    a = cb.avectors[mp("3.1|4.1")]
+    assert a.coeff(mp("4|4.1")) == ONE and mp("4|4.1") in cb.vectors
+    assert mp("4.1|4") not in cb.vectors
+    assert a.coeff(mp("3.1|4.1")) == poly((0, 1), (2, 1))
+    assert cb.corrections[mp("3.1|4.1")] == {mp("4|4.1"): ONE}
+    assert cb.vectors[mp("3.1|4.1")].coeff(mp("3.1|4.1")) == ONE
+
+
+def test_layer_and_positions_on_the_basis_set():
+    for e, charge, n in [(2, (0, 0), 4), (None, (1, -1, 2), 3)]:
+        cb = canonical_basis(e, charge, n)
+        assert cb.layer == tuple(enumerate_multipartitions(len(charge), n, charge))
+        assert cb.position == {m: k for k, m in enumerate(cb.layer)}
+        assert list(cb.labels) == sorted(cb.labels, key=cb.position.__getitem__)
 
 
 def test_peeling_dead_end():

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockdec.cli
 from fockdec.canonical import (
@@ -432,14 +437,13 @@ def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
 REDUCE_ONCE = """
 import sys
 from fockdec import canonical, cli
-from fockdec.combinatorics import gamma_sequence
 from fockdec.laurent import bar_symmetric_part
 
-def reduce_once(x, label, charge, resolve):
+def reduce_once(x, label, position, resolve):
     offenders = [mp for mp, c in x.entries.items() if mp != label and not c.in_v_ztimes()]
     if not offenders:
         return x, {}
-    mp = max(offenders, key=lambda m: gamma_sequence(m, charge))
+    mp = min(offenders, key=position.__getitem__)
     m = bar_symmetric_part(x.coeff(mp))
     return x - resolve(mp).scale(m), {mp: m}
 
@@ -460,3 +464,102 @@ def test_an_unfinished_reduction_exits_one_with_one_line():
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("fockdec: InvariantViolated: "), proc.stderr
+
+
+# -- fuzzing main over small arguments -----------------------------------
+
+FORMATS = {
+    "crystal": ["text", "json", "dot"],
+    "canonical": ["text", "json", "csv", "latex"],
+    "factorize": ["text", "json", "csv", "latex"],
+    "abacus": ["text", "json"],
+    "order": ["text", "json"],
+}
+
+
+def _partition_text(parts):
+    return ".".join(map(str, sorted(parts, reverse=True))) or "-"
+
+
+def _valid(kind, level):
+    """Text of a valid option value; charges and multipartitions of one level."""
+    if kind == "e":
+        return st.sampled_from(["2", "3", "5", "inf", "Infinity"])
+    if kind == "finite e":
+        return st.sampled_from(["2", "3", "5"])
+    if kind == "charge":
+        return st.lists(st.integers(-3, 3), min_size=level, max_size=level).map(
+            lambda xs: ",".join(map(str, xs))
+        )
+    if kind == "rank":
+        return st.integers(0, 4).map(str)
+    if kind == "mp":
+        part = st.lists(st.integers(1, 2), max_size=2).map(_partition_text)
+        return st.lists(part, min_size=level, max_size=level).map("|".join)
+    return st.integers(0, 12).map(str)
+
+
+INVALID = {
+    "e": ["1", "0", "-2", "x", ""],
+    "finite e": ["inf", "1", "x"],
+    "charge": ["", "a", "0,,1", "0;1", " ", "1.5", "0,0,0,0"],
+    "rank": ["-1", "x", "2.5", ""],
+    "mp": ["1.2", "0", "a", "-1", "|", "2.1|-|x", "", "1|1|1|1"],
+    "small": ["-1", "x"],
+}
+
+# one draw in eight is the rare case (an invalid value, a missing option)
+RARE = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for one of the five commands; each option is usually valid,
+    sometimes invalid, sometimes missing, in either the space or = form."""
+    cmd = draw(st.sampled_from(sorted(FORMATS)))
+    level = draw(st.integers(1, 3))
+
+    def value(kind):
+        if draw(RARE):
+            return draw(st.sampled_from(INVALID[kind]))
+        return draw(_valid(kind, level))
+
+    fmt = "yaml" if draw(RARE) else draw(st.sampled_from(FORMATS[cmd]))
+    if cmd in ("crystal", "canonical", "factorize"):
+        opts = [("--e", value("e")), ("--charge", value("charge")),
+                ("--rank", value("rank")), ("--format", fmt)]
+        optional = [("--guard", "small"), ("--pad", "small")]
+    elif cmd == "abacus":
+        opts = [("--multipartition", value("mp")), ("--charge", value("charge")),
+                ("--e", value("finite e")), ("--format", fmt)]
+        cut = draw(st.sampled_from(["--r", "--stable-for"]))
+        opts.append((cut, value("small" if cut == "--r" else "finite e")))
+        optional = [("--r", "small"), ("--stable-for", "finite e")]
+    else:
+        opts = [("--left", value("mp")), ("--right", value("mp")), ("--format", fmt)]
+        optional = [("--charge", "charge"), ("--pad", "small")]
+    for name, kind in optional:
+        if draw(RARE):
+            opts.append((name, value(kind)))
+    argv = [cmd]
+    for name, text in opts:
+        if not draw(RARE):
+            argv += [f"{name}={text}"] if draw(st.booleans()) else [name, text]
+    return argv
+
+
+def _captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_main_gives_an_exit_code_for_any_small_input(argv):
+    rc, out, err = _captured_main(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc, err)
+    if rc != 0:
+        assert err, argv
+    assert _captured_main(argv) == (rc, out, err), argv

@@ -236,6 +236,16 @@ def test_order_is_pad_invariant():
             assert compare_dominance(a, b, charge, pad) is base
 
 
+def test_gamma_lex_order_is_pad_invariant():
+    # padding appends the same entries to every sequence of a rank layer,
+    # so the matrix row order can be taken at pad 0
+    for level, charge in [(1, (0,)), (2, (0, 1)), (2, (2, -1)), (3, (1, -1, 2))]:
+        for n in range(5):
+            mps = enumerate_multipartitions(level, n, charge)
+            for pad in (1, 3):
+                assert enumerate_multipartitions(level, n, charge, pad) == mps
+
+
 def test_gamma_lex_refines_dominance():
     for charge in [(0, 0), (1, 3)]:
         mps = enumerate_multipartitions(2, 4, charge)

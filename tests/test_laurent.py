@@ -66,6 +66,27 @@ def test_structural_equality_and_hash():
     assert len({a, b}) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_equal_polynomials_hash_equal_whatever_the_route(a, b):
+    routes = [
+        a + b,
+        b + a,
+        a - -b,
+        (a + b + b) - b,
+        LaurentPoly.from_pairs(a.to_pairs() + b.to_pairs()),
+        (a + b).bar().bar(),
+        (a + b).shift(3).shift(-3),
+        -(-(a + b)),
+    ]
+    assert all(p == routes[0] for p in routes)
+    first = [hash(p) for p in routes]
+    assert len(set(first)) == 1
+    # the hash each object keeps is the one it computed
+    assert [hash(p) for p in routes] == first
+    assert len(set(routes)) == 1
+
+
 def test_coeff_items_and_exponent_range():
     p = poly((-2, 5), (0, -1), (3, 2))
     assert p.coeff(-2) == 5 and p.coeff(1) == 0 and p.coeff(3) == 2
