@@ -34,7 +34,10 @@ v*Z[v]) raises InvariantViolated, so it holds under python -O as well.
 
 The construction never uses dominance of the charge, so it runs at any
 charge directly.  All peeling words of a rank are applied in one pass
-(apply_peelings) that shares the partial products of common prefixes.
+(apply_peelings) that shares the partial products of common prefixes and
+one transition table of the operator kernel, so the moves of f_i^(u) from
+a multipartition are computed once per call however many words reach it.
+Each elimination step is one FockVector.sub_scaled.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .crystal import (
     good_removable_node,
     remove_good,
 )
-from .fock import FockVector, apply_f_divided, basis_vector
+from .fock import FockVector, _apply_f_divided, basis_vector
 from .laurent import ONE, LaurentPoly, bar_symmetric_part
 
 __all__ = [
@@ -154,9 +157,12 @@ def apply_peelings(
     divided powers are applied in), so words with a common leading run of
     steps are adjacent.  A stack holds the partial product after each
     step of the current word; the next word pops back to its common
-    prefix with the current one and applies only the rest.
+    prefix with the current one and applies only the rest.  One transition
+    table (see fockdec.fock) serves every step of the call and is dropped
+    with it.
     """
     words = [tuple(reversed(seq)) for seq in seqs]
+    table: dict = {}
     out: list[Optional[FockVector]] = [None] * len(words)
     stack = [basis_vector(empty(len(charge)), charge)]
     prev: tuple[tuple[int, int], ...] = ()
@@ -167,7 +173,7 @@ def apply_peelings(
             common += 1
         del stack[common + 1 :]
         for i, u in word[common:]:
-            stack.append(apply_f_divided(stack[-1], e, i, u))
+            stack.append(_apply_f_divided(stack[-1], e, i, u, table))
         out[k] = stack[-1]
         prev = word
     return out
@@ -244,7 +250,7 @@ def _reduce(
             )
         g = resolve(offender)
         corrections[offender] = corrections.get(offender, LaurentPoly()) + m
-        x = x - g.scale(m)
+        x = x.sub_scaled(g, m)
         guard += 1
         if guard > limit:
             raise InvariantViolated(

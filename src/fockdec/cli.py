@@ -91,7 +91,6 @@ class RunConfig:
     charge: Charge
     rank: int
     format: str = "text"
-    pad: int = 0
     guard: int = GUARD_DEFAULT
 
 
@@ -412,8 +411,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, formats: str) -> None:
     sub.add_argument("--rank", type=_nonneg_value, required=True,
                      help="total number of boxes")
     sub.add_argument("--format", default="text", help=f"one of: {formats}")
-    sub.add_argument("--pad", type=_nonneg_value, default=0,
-                     help="extra dominance-comparison depth")
     sub.add_argument("--guard", type=_nonneg_value, default=GUARD_DEFAULT,
                      help=f"refuse ranks above this bound (default {GUARD_DEFAULT})")
 
@@ -518,7 +515,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             charge=args.charge,
             rank=args.rank,
             format=args.format,
-            pad=args.pad,
             guard=args.guard,
         )
         handler = {

@@ -202,7 +202,7 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
                 raise NotInBInfinity(format_multipartition(mu))
             d = resid.coeff(mu)
             coeffs[mu] = d
-            resid = resid - ginf.vectors[mu].scale(d)
+            resid = resid.sub_scaled(ginf.vectors[mu], d)
         cols[lam] = coeffs
     entries = tuple(
         tuple(cols[lam].get(nu, ZERO) for lam in ge.labels) for nu in ginf.labels

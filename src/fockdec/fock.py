@@ -14,7 +14,13 @@ a box of residue i changes addable and removable nodes only at residues
 i - 1 and i + 1, so the exponents of every insertion are read off the
 source itself.  The divided power f_i^(u) is computed in closed form, one
 term per u-subset of the addable i-nodes, never as u applications of f_i
-followed by a division by [u]!.
+followed by a division by [u]!.  The (target, exponent) moves of f_i^(u)
+from one multipartition go into a transition table keyed by
+(multipartition, i, u), so a caller that applies many divided powers at
+one charge and e (canonical.apply_peelings) computes them once per key;
+apply_f_divided uses a fresh table on every call.  The contributions to
+each target are collected and summed once, and FockVector.sub_scaled forms
+the elimination step x - m*g in one pass.
 
 With e=None the same formulas run on raw contents instead of residues:
 that is the large-rank limit in which every content class is its own
@@ -81,6 +87,14 @@ class FockVector:
         self.charge = charge
         self.entries = {mp: c for mp, c in entries.items() if not c.is_zero()}
 
+    @classmethod
+    def _of(cls, charge: Charge, entries: dict[Multipartition, LaurentPoly]) -> "FockVector":
+        """Wrap entries already free of zero coefficients, without a copy."""
+        x = object.__new__(cls)
+        x.charge = charge
+        x.entries = entries
+        return x
+
     def coeff(self, mp: Multipartition) -> LaurentPoly:
         return self.entries.get(mp, ZERO)
 
@@ -104,12 +118,39 @@ class FockVector:
         return FockVector(self.charge, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
+        return self.sub_scaled(other, ONE)
+
+    def sub_scaled(self, other: "FockVector", m: LaurentPoly) -> "FockVector":
+        """self - other.scale(m) in one pass over other's entries.
+
+        The elimination step of canonical_basis and extract_relative.  No
+        product is formed when m is ONE; otherwise each entry c of other
+        becomes c * (-m), added to the entry of self in one buffer.
+        """
         self._check(other)
         out = dict(self.entries)
-        for mp, c in other.entries.items():
-            got = out.get(mp)
-            out[mp] = -c if got is None else got - c
-        return FockVector(self.charge, out)
+        if m == ONE:
+            for mp, c in other.entries.items():
+                got = out.get(mp)
+                if got is None:
+                    out[mp] = -c
+                elif got == c:
+                    del out[mp]
+                else:
+                    out[mp] = got - c
+        elif m:
+            neg = -m
+            for mp, c in other.entries.items():
+                got = out.get(mp)
+                if got is None:
+                    out[mp] = c * neg
+                else:
+                    total = got.add_product(c, neg)
+                    if total:
+                        out[mp] = total
+                    else:
+                        del out[mp]
+        return FockVector._of(self.charge, out)
 
     def scale(self, p: LaurentPoly) -> "FockVector":
         if p.is_zero():
@@ -333,6 +374,21 @@ def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVect
     pair in S.
     Raises ValueError for u < 0 or e < 2.
     """
+    return _apply_f_divided(x, e, i, u, {})
+
+
+def _apply_f_divided(
+    x: FockVector, e: Optional[int], i: int, u: int, table: dict
+) -> FockVector:
+    """apply_f_divided, reading each source's moves from a transition table.
+
+    ``table`` maps (multipartition, i, u) to the list of (target,
+    exponent) moves of f_i^(u) from that multipartition; a missing key is
+    computed here and stored.  One table serves one charge and one e, so
+    it lives no longer than the call that owns it (apply_peelings, or one
+    apply_f_divided).  Each target's contributions are collected first and
+    summed once.
+    """
     if u < 0:
         raise ValueError(f"negative divided power {u}")
     if e is not None and e < 2:
@@ -340,19 +396,48 @@ def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVect
     if u == 0:
         return x
     charge = x.charge
-    pairs = u * (u - 1) // 2
     out: dict[Multipartition, LaurentPoly] = {}
+    # targets reached more than once: every (coefficient, shift) term
+    shared: dict[Multipartition, list[tuple[LaurentPoly, int]]] = {}
     for mp, c in x.entries.items():
-        adds, rems = _i_nodes(mp, charge, e, i)
-        if len(adds) < u:
-            continue
-        single = _single_exponents(adds, rems)
-        for subset in combinations(range(len(adds)), u):
-            mu = _add_boxes(mp, [adds[p][1:] for p in subset])
-            term = c.shift(sum(single[p] for p in subset) - pairs)
-            got = out.get(mu)
-            out[mu] = term if got is None else got + term
-    return FockVector(charge, out)
+        key = (mp, i, u)
+        moves = table.get(key)
+        if moves is None:
+            moves = table[key] = _moves(mp, charge, e, i, u)
+        for mu, k in moves:
+            if mu not in out:
+                out[mu] = LaurentPoly(c.val + k, c.coeffs)
+            elif mu in shared:
+                shared[mu].append((c, k))
+            else:
+                shared[mu] = [(out[mu], 0), (c, k)]
+    for mu, terms in shared.items():
+        total = LaurentPoly.sum_shifted(terms)
+        if total:
+            out[mu] = total
+        else:
+            del out[mu]
+    return FockVector._of(charge, out)
+
+
+def _moves(
+    mp: Multipartition, charge: Charge, e: Optional[int], i: int, u: int
+) -> list[tuple[Multipartition, int]]:
+    """The (target, exponent) terms of f_i^(u) applied to mp alone."""
+    adds, rems = _i_nodes(mp, charge, e, i)
+    if len(adds) < u:
+        return []
+    single = _single_exponents(adds, rems)
+    if u == 1:
+        return [(_add_boxes(mp, (add[1:],)), k) for add, k in zip(adds, single)]
+    pairs = u * (u - 1) // 2
+    return [
+        (
+            _add_boxes(mp, [adds[p][1:] for p in subset]),
+            sum(single[p] for p in subset) - pairs,
+        )
+        for subset in combinations(range(len(adds)), u)
+    ]
 
 
 # -- compatibility between the finite-e and content operator families ----

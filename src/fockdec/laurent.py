@@ -149,14 +149,25 @@ class LaurentPoly:
             return self
         lo = min(self.val, other.val)
         out = [0] * (max(self.val + len(ac), other.val + len(bc)) - lo)
-        for k, x in enumerate(ac, self.val - lo):
-            out[k] += x
+        a = self.val - lo
+        out[a : a + len(ac)] = ac
         for k, x in enumerate(bc, other.val - lo):
             out[k] += x
         return _normal(lo, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + -other
+        ac, bc = self.coeffs, other.coeffs
+        if not bc:
+            return self
+        if not ac:
+            return -other
+        lo = min(self.val, other.val)
+        out = [0] * (max(self.val + len(ac), other.val + len(bc)) - lo)
+        a = self.val - lo
+        out[a : a + len(ac)] = ac
+        for k, x in enumerate(bc, other.val - lo):
+            out[k] -= x
+        return _normal(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.val, tuple(-x for x in self.coeffs))
@@ -181,6 +192,30 @@ class LaurentPoly:
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
 
+    def add_product(self, p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
+        """self + p * q, formed in one buffer.
+
+        >>> ONE.add_product(V, V) == ONE + V * V
+        True
+        """
+        pc, qc = p.coeffs, q.coeffs
+        if not pc or not qc:
+            return self
+        sc = self.coeffs
+        if not sc:
+            return p * q
+        pv = p.val + q.val
+        lo = min(self.val, pv)
+        out = [0] * (max(self.val + len(sc), pv + len(pc) + len(qc) - 1) - lo)
+        a = self.val - lo
+        out[a : a + len(sc)] = sc
+        for k, x in enumerate(pc, pv - lo):
+            if x:
+                for j, y in enumerate(qc, k):
+                    if y:
+                        out[j] += x * y
+        return _normal(lo, out)
+
     def shift(self, exp: int, coeff: int = 1) -> "LaurentPoly":
         """Multiply by coeff * v**exp."""
         if coeff == 0 or not self.coeffs:
@@ -188,6 +223,23 @@ class LaurentPoly:
         if coeff == 1:
             return LaurentPoly(self.val + exp, self.coeffs)
         return LaurentPoly(self.val + exp, tuple(coeff * x for x in self.coeffs))
+
+    @staticmethod
+    def sum_shifted(terms: Iterable[tuple["LaurentPoly", int]]) -> "LaurentPoly":
+        """The sum of p * v**k over the (p, k) pairs, formed in one buffer.
+
+        >>> LaurentPoly.sum_shifted([(ONE, 1), (V, 0), (-V, 2)]) == V * 2 - V * V * V
+        True
+        """
+        live = [(p.val + k, p.coeffs) for p, k in terms if p.coeffs]
+        if not live:
+            return ZERO
+        lo = min(a for a, _ in live)
+        out = [0] * (max(a + len(c) for a, c in live) - lo)
+        for a, c in live:
+            for j, x in enumerate(c, a - lo):
+                out[j] += x
+        return _normal(lo, out)
 
     def bar(self) -> "LaurentPoly":
         """Apply the involution v -> 1/v."""

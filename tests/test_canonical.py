@@ -154,8 +154,27 @@ def peeling_word_sets(draw):
     return e, charge, draw(st.lists(word, min_size=1, max_size=6))
 
 
-@given(peeling_word_sets())
-@settings(max_examples=100, deadline=None)
+@st.composite
+def revisiting_word_sets(draw):
+    """(e, charge, words): words that share an application prefix and then
+    part on steps of one residue with different multiplicities and of
+    different residues with one multiplicity, so a prefix's result is
+    visited again under other (i, u); the prefix is also taken in a
+    second order, which reaches the same multipartitions another way."""
+    e = draw(st.sampled_from((2, 3, 5, None)))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-2, 2), min_size=level, max_size=level)))
+    residue = st.integers(-3, 3) if e is None else st.integers(0, e - 1)
+    prefix = draw(st.lists(st.tuples(residue, st.integers(1, 2)), max_size=3))
+    i, j = draw(residue), draw(residue)
+    lasts = [(i, 1), (i, 2), (i, 3), (j, 1)]
+    orders = [prefix, prefix[::-1]]
+    # words list their steps last-applied first
+    return e, charge, [tuple([last] + order[::-1]) for order in orders for last in lasts]
+
+
+@given(peeling_word_sets() | revisiting_word_sets())
+@settings(max_examples=200, deadline=None)
 def test_shared_prefix_application_matches_each_word(case):
     e, charge, words = case
     got = apply_peelings(words, e, charge)

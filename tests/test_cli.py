@@ -202,6 +202,8 @@ def test_usage_errors_exit_two(capsys):
         ["order", "--left=3", "--right=2.1", "--charge", "0,0"],
         ["canonical", "--e", "2", "--charge", "0,0", "--rank", "2",
          "--threads", "4"],
+        ["canonical", "--e", "2", "--charge", "0,0", "--rank", "2",
+         "--pad", "1"],
     ]
     for argv in cases:
         rc, _, err = run(capsys, *argv)
@@ -528,7 +530,7 @@ def cli_argvs(draw):
     if cmd in ("crystal", "canonical", "factorize"):
         opts = [("--e", value("e")), ("--charge", value("charge")),
                 ("--rank", value("rank")), ("--format", fmt)]
-        optional = [("--guard", "small"), ("--pad", "small")]
+        optional = [("--guard", "small")]
     elif cmd == "abacus":
         opts = [("--multipartition", value("mp")), ("--charge", value("charge")),
                 ("--e", value("finite e")), ("--format", fmt)]

@@ -254,3 +254,43 @@ def test_modulus_below_two_is_rejected(case, e, u):
         apply_f(x, e, i)
     with pytest.raises(ValueError):
         apply_f_divided(x, e, i, u)
+
+
+# -- the fused elimination step ------------------------------------------
+
+laurent_terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3)
+
+
+@st.composite
+def elimination_steps(draw):
+    """(x, g, m, rest): g and rest on one rank layer, x = m*g + rest, so
+    every entry of g outside rest's support cancels in x - m*g.  m is ONE,
+    an integer (zero included) or p + bar(p), bar-symmetric."""
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-2, 2), min_size=level, max_size=level)))
+    layer = enumerate_multipartitions(level, draw(st.integers(0, 3)), charge)
+    pick = st.lists(st.sampled_from(layer), max_size=5, unique=True)
+
+    def vector(support):
+        return FockVector(
+            charge, {mu: LaurentPoly.from_pairs(draw(laurent_terms)) for mu in support}
+        )
+
+    g, rest = vector(draw(pick)), vector(draw(pick))
+    p = LaurentPoly.from_pairs(draw(laurent_terms))
+    m = draw(
+        st.sampled_from([ONE, p + p.bar()])
+        | st.integers(-3, 3).map(lambda k: LaurentPoly.monomial(k, 0))
+    )
+    return g.scale(m) + rest, g, m, rest
+
+
+@given(elimination_steps())
+@settings(max_examples=300, deadline=None)
+def test_fused_step_is_the_scaled_difference(case):
+    x, g, m, rest = case
+    got = x.sub_scaled(g, m)
+    assert got == x - g.scale(m) == x + g.scale(-m) == rest
+    assert all(not c.is_zero() for c in got.entries.values())
+    # the inputs are left as they were
+    assert x == g.scale(m) + rest

@@ -212,6 +212,31 @@ def test_arithmetic_matches_the_dict_reference(a, b, k, exp, coeff):
             assert _terms(exact_div(p, b)) == want
 
 
+# monomials are the usual coefficients of an elimination step
+small_polys = laurent_polys | st.builds(
+    LaurentPoly.monomial, st.integers(-3, 3), st.integers(-4, 4)
+)
+
+
+@given(
+    small_polys,
+    small_polys,
+    small_polys,
+    st.lists(st.tuples(small_polys, st.integers(-4, 4)), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_buffer_forms_match_the_dict_reference(a, b, c, shifted):
+    ta, tb, tc = _terms(a), _terms(b), _terms(c)
+    assert _terms(a.add_product(b, c)) == _ref_add(ta, _ref_mul(tb, tc))
+    want: dict[int, int] = {}
+    for p, k in shifted:
+        want = _ref_add(want, _ref_mul(_terms(p), {k: 1}))
+    assert _terms(LaurentPoly.sum_shifted(shifted)) == want
+    # terms that cancel leave the normal-form zero
+    assert _terms(LaurentPoly.sum_shifted([(a, 2), (-a, 2)])) == {}
+    assert _terms(a.add_product(a, -ONE)) == {}
+
+
 def test_inexact_division_raises():
     with pytest.raises(DivisionNotExact):
         exact_div(poly((0, 1), (1, 1)), poly((0, 2)))
