@@ -428,8 +428,6 @@ def _moves(
     if len(adds) < u:
         return []
     single = _single_exponents(adds, rems)
-    if u == 1:
-        return [(_add_boxes(mp, (add[1:],)), k) for add, k in zip(adds, single)]
     pairs = u * (u - 1) // 2
     return [
         (

@@ -142,31 +142,24 @@ class LaurentPoly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        ac, bc = self.coeffs, other.coeffs
-        if not ac:
-            return other
-        if not bc:
-            return self
-        lo = min(self.val, other.val)
-        out = [0] * (max(self.val + len(ac), other.val + len(bc)) - lo)
-        a = self.val - lo
-        out[a : a + len(ac)] = ac
-        for k, x in enumerate(bc, other.val - lo):
-            out[k] += x
-        return _normal(lo, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, formed in one buffer (sign is 1 or -1)."""
         ac, bc = self.coeffs, other.coeffs
         if not bc:
             return self
         if not ac:
-            return -other
+            return other.shift(0, sign)
         lo = min(self.val, other.val)
         out = [0] * (max(self.val + len(ac), other.val + len(bc)) - lo)
         a = self.val - lo
         out[a : a + len(ac)] = ac
         for k, x in enumerate(bc, other.val - lo):
-            out[k] -= x
+            out[k] += sign * x
         return _normal(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
