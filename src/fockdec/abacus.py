@@ -23,9 +23,8 @@ carries the smallest admissible r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import Charge, Multipartition
 
@@ -175,8 +174,7 @@ def tau_forward(k: tuple[int, ...], e: int, l: int) -> tuple[Multipartition, Cha
     return tuple(parts), tuple(charge)
 
 
-@dataclass(frozen=True)
-class AbacusData:
+class AbacusData(NamedTuple):
     """All reading sequences of one truncated bead list.
 
     k is the input; c, d, m, phi decompose each label in k order; w lists

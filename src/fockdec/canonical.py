@@ -42,8 +42,7 @@ Each elimination step is one FockVector.sub_scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import (
     Charge,
@@ -192,8 +191,7 @@ def build_A(mp: Multipartition, e: Optional[int], charge: Charge) -> FockVector:
     return x
 
 
-@dataclass(frozen=True)
-class CanonicalBasisSet:
+class CanonicalBasisSet(NamedTuple):
     """All canonical basis vectors of one rank, with their provenance.
 
     ``labels`` is in descending gamma order (the matrix column order);

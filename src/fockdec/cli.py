@@ -23,8 +23,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
 from .canonical import (
@@ -83,8 +82,7 @@ INTERNAL_FAILURES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a matrix-producing subcommand needs."""
 
     e: Optional[int]  # None means no modulus

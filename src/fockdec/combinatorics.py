@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import ge, le
 from typing import Iterator, NamedTuple, Optional
 
 Partition = tuple[int, ...]
@@ -51,6 +52,8 @@ __all__ = [
     "addable_nodes",
     "removable_nodes",
     "gamma_sequence",
+    "gamma_prefix_sums",
+    "compare_prefix_sums",
     "compare_dominance",
     "gamma_lex_sorted",
     "enumerate_multipartitions",
@@ -270,6 +273,23 @@ def gamma_sequence(mp: Multipartition, charge: Charge, pad: int = 0) -> tuple[in
     return tuple(out)
 
 
+def gamma_prefix_sums(mp: Multipartition, charge: Charge, pad: int = 0) -> tuple[int, ...]:
+    """The running sums of gamma_sequence: the key the dominance order compares."""
+    return tuple(accumulate(gamma_sequence(mp, charge, pad)))
+
+
+def compare_prefix_sums(a: tuple[int, ...], b: tuple[int, ...]) -> Ordering:
+    """The dominance rule on two equal-rank gamma_prefix_sums keys.
+
+    Greater means every prefix sum of a is at least b's, and some exceeds.
+    """
+    if len(a) != len(b):
+        raise RankMismatch(f"prefix sums of length {len(a)} vs {len(b)}")
+    if all(map(ge, a, b)):
+        return Ordering.EQUAL if a == b else Ordering.GREATER
+    return Ordering.LESS if all(map(le, a, b)) else Ordering.INCOMPARABLE
+
+
 def compare_dominance(
     a: Multipartition, b: Multipartition, charge: Charge, pad: int = 0
 ) -> Ordering:
@@ -283,23 +303,12 @@ def compare_dominance(
         raise RankMismatch(f"rank {na} vs rank {nb}")
     if a == b:
         return Ordering.EQUAL
-    ga = gamma_sequence(a, charge, pad)
-    gb = gamma_sequence(b, charge, pad)
-    if ga == gb:
+    order = compare_prefix_sums(
+        gamma_prefix_sums(a, charge, pad), gamma_prefix_sums(b, charge, pad)
+    )
+    if order is Ordering.EQUAL:
         raise ValueError(f"distinct multipartitions {a} and {b} share a gamma sequence")
-    ge = le = True
-    run = 0
-    for xa, xb in zip(ga, gb):
-        run += xa - xb
-        if run > 0:
-            le = False
-        elif run < 0:
-            ge = False
-        if not ge and not le:
-            return Ordering.INCOMPARABLE
-    # distinct sequences with equal totals cannot keep every prefix sum equal
-    assert not (ge and le)
-    return Ordering.GREATER if ge else Ordering.LESS
+    return order
 
 
 def gamma_lex_sorted(

@@ -24,7 +24,6 @@ Node(row=1, col=1, comp=2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -123,12 +122,12 @@ def residue_alphabet(mp: Multipartition, e: Optional[int], charge: Charge) -> li
     return sorted({content(n, charge) for n in addable_nodes(mp, charge)})
 
 
-@dataclass(frozen=True)
 class CrystalGraph:
     """A component generated from the empty multipartition, rank by rank.
 
     ``layers[n]`` lists the rank-n vertices in descending gamma order;
-    ``edges`` maps (vertex, residue) to the vertex above it.
+    ``edges`` maps (vertex, residue) to the vertex above it.  Immutable;
+    cached views go straight into the instance dict.
     """
 
     e: Optional[int]
@@ -136,6 +135,14 @@ class CrystalGraph:
     max_rank: int
     layers: tuple[tuple[Multipartition, ...], ...]
     edges: dict[tuple[Multipartition, int], Multipartition]
+
+    def __init__(self, e, charge, max_rank, layers, edges):
+        self.__dict__.update(
+            e=e, charge=charge, max_rank=max_rank, layers=layers, edges=edges
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CrystalGraph is immutable; cannot set {name}")
 
     def vertices(self, n: int) -> tuple[Multipartition, ...]:
         if not (0 <= n <= self.max_rank):

@@ -1,27 +1,29 @@
 """Decomposition matrices and the relative factor between two bases.
 
 The matrix of a canonical basis set has one row per rank-n multipartition
-(descending gamma order) and one column per basis vector.  The finite-e
+(descending gamma order) and one column per basis vector.  A PolyMatrix
+stores only the nonzero cells of each row, in column order; the dense
+table is a view for the renderers that walk every cell.  The finite-e
 matrix factors through the no-modulus one: column by column, repeatedly
 strip the greatest remaining support term by subtracting that multiple of
 the corresponding no-modulus basis vector; the multiples assemble into the
 relative matrix, which is unitriangular with off-diagonal entries in
 v*Z[v] and nonnegative coefficients.  verify() rechecks all of that from
-the finished matrices, including the v=1 specialization.
+the nonzero cells of the finished matrices, including the v=1
+specialization.
 
 JSON rendering: matrix_to_json_obj() is the documented structure
 (row_labels, col_labels, and entries as [exponent, coefficient] pairs).
 append_matrix_json() writes its text directly and is byte-identical to
 json.dumps(matrix_to_json_obj(m), indent=2) nested ``depth`` levels deep,
-i.e. with every newline followed by 2*depth more spaces.  It formats each
-distinct cell once per matrix, which is where a large, mostly empty
-matrix spends its rendering time.
+i.e. with every newline followed by 2*depth more spaces.  Each row starts
+as a copy of an all-empty row, and each distinct nonzero cell is
+formatted once per matrix.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .canonical import CanonicalBasisSet
@@ -29,8 +31,9 @@ from .combinatorics import (
     Charge,
     Multipartition,
     Ordering,
-    compare_dominance,
+    compare_prefix_sums,
     format_multipartition,
+    gamma_prefix_sums,
 )
 from .laurent import ONE, ZERO, LaurentPoly, exact_div
 
@@ -64,26 +67,50 @@ class InconsistentSystem(RuntimeError):
     """Back substitution left a nonzero residual."""
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
-    """A labeled matrix of Laurent polynomials.
+    """A labeled matrix of Laurent polynomials, stored by its nonzero cells.
 
-    ``entries`` is the dense row-major table.  The label->index maps and
-    the per-row lists of nonzero cells are derived from it on first use
-    and cached, so a matrix that is only built and rendered never pays
-    for them.
+    ``row_nonzeros[i]`` holds row i's (column index, entry) pairs in
+    ascending column order, with no zero entry.  ``entries``, the dense
+    row-major table with ZERO in every empty cell, and the label->index
+    maps are views built on first use and cached, so a matrix that is only
+    built, checked and written as JSON never pays for them.  Immutable.
     """
 
     row_labels: tuple[Multipartition, ...]
     col_labels: tuple[Multipartition, ...]
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    row_nonzeros: tuple[tuple[tuple[int, LaurentPoly], ...], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
+    def __init__(self, row_labels, col_labels, row_nonzeros):
+        if len(row_nonzeros) != len(row_labels):
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise ValueError("column count mismatch")
+        width = len(col_labels)
+        for cells in row_nonzeros:
+            if cells and not (0 <= cells[0][0] and cells[-1][0] < width):
+                raise ValueError("column index out of range")
+        self.__dict__.update(
+            row_labels=row_labels, col_labels=col_labels, row_nonzeros=row_nonzeros
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyMatrix is immutable; cannot set {name}")
+
+    @classmethod
+    def from_dense(cls, row_labels, col_labels, entries) -> "PolyMatrix":
+        """The matrix of a dense row-major table; its zero cells are dropped."""
+        if len(entries) != len(row_labels):
+            raise ValueError("row count mismatch")
+        if any(len(row) != len(col_labels) for row in entries):
+            raise ValueError("column count mismatch")
+        return cls(
+            row_labels,
+            col_labels,
+            tuple(tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in entries),
+        )
+
+    @cached_property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        return self._dense(ZERO, lambda p: p)
 
     @cached_property
     def row_index(self) -> dict[Multipartition, int]:
@@ -93,24 +120,18 @@ class PolyMatrix:
     def col_index(self) -> dict[Multipartition, int]:
         return {label: j for j, label in enumerate(self.col_labels)}
 
-    @cached_property
-    def row_nonzeros(self) -> tuple[tuple[tuple[int, LaurentPoly], ...], ...]:
-        """For each row, its (column index, entry) pairs with nonzero entry."""
-        return tuple(
-            tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in self.entries
-        )
-
     def entry(self, row: Multipartition, col: Multipartition) -> LaurentPoly:
-        return self.entries[_lookup(self.row_index, row, "row")][
-            _lookup(self.col_index, col, "column")
-        ]
+        cells = self.row_nonzeros[_lookup(self.row_index, row, "row")]
+        j = _lookup(self.col_index, col, "column")
+        return next((p for k, p in cells if k == j), ZERO)
 
     def column(self, col: Multipartition) -> dict[Multipartition, LaurentPoly]:
         j = _lookup(self.col_index, col, "column")
         return {
-            r: self.entries[i][j]
-            for i, r in enumerate(self.row_labels)
-            if not self.entries[i][j].is_zero()
+            r: p
+            for r, cells in zip(self.row_labels, self.row_nonzeros)
+            for k, p in cells
+            if k == j
         }
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -118,7 +139,6 @@ class PolyMatrix:
         if self.col_labels != other.row_labels:
             raise ValueError("inner labels do not match")
         right = other.row_nonzeros
-        width = len(other.col_labels)
         rows = []
         for left in self.row_nonzeros:
             acc: dict[int, LaurentPoly] = {}
@@ -127,19 +147,20 @@ class PolyMatrix:
                     p = a * b
                     got = acc.get(j)
                     acc[j] = p if got is None else got + p
-            row = [ZERO] * width
-            for j, p in acc.items():
-                row[j] = p
-            rows.append(tuple(row))
+            rows.append(tuple((j, p) for j, p in sorted(acc.items()) if p.coeffs))
         return PolyMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def eval_one(self) -> tuple[tuple[int, ...], ...]:
+        """The dense integer table at v=1."""
+        return self._dense(0, LaurentPoly.eval_one)
+
+    def _dense(self, fill, value) -> tuple[tuple, ...]:
         width = len(self.col_labels)
         out = []
         for cells in self.row_nonzeros:
-            row = [0] * width
+            row = [fill] * width
             for j, p in cells:
-                row[j] = p.eval_one()
+                row[j] = value(p)
             out.append(tuple(row))
         return tuple(out)
 
@@ -156,17 +177,18 @@ def basis_matrix(basis: CanonicalBasisSet) -> PolyMatrix:
 
     Rows run over the basis's rank layer (descending gamma order at the
     basis charge), columns over the basis labels in their stored order.
-    Each vector's entries are scattered into the table by position.  The
-    row order does not depend on a gamma pad: padding appends the same
-    entries to every sequence of the layer.
+    Each vector's entries go to the rows at their positions, column by
+    column, so every row's cells come out in column order.  The row order
+    does not depend on a gamma pad: padding appends the same entries to
+    every sequence of the layer.
     """
     cols = basis.labels
-    table = [[ZERO] * len(cols) for _ in basis.layer]
+    rows: list[list[tuple[int, LaurentPoly]]] = [[] for _ in basis.layer]
     position = basis.position
     for j, lam in enumerate(cols):
         for mp, c in basis.vectors[lam].entries.items():
-            table[position[mp]][j] = c
-    return PolyMatrix(basis.layer, cols, tuple(map(tuple, table)))
+            rows[position[mp]].append((j, c))
+    return PolyMatrix(basis.layer, cols, tuple(map(tuple, rows)))
 
 
 def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatrix:
@@ -185,10 +207,10 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
     # the greatest support term of a residual is the one with the least
     # position in the rank layer
     position = ge.position
-    inf_labels = set(ginf.labels)
-    cols: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
-    for lam in ge.labels:
-        if lam not in inf_labels:
+    inf_row = {nu: i for i, nu in enumerate(ginf.labels)}
+    rows: list[list[tuple[int, LaurentPoly]]] = [[] for _ in ginf.labels]
+    for j, lam in enumerate(ge.labels):
+        if lam not in inf_row:
             raise NotInBInfinity(format_multipartition(lam))
         coeffs: dict[Multipartition, LaurentPoly] = {lam: ONE}
         resid = ge.vectors[lam] - ginf.vectors[lam]
@@ -198,16 +220,14 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
             if steps > len(position):
                 raise NonTermination(f"column {format_multipartition(lam)}")
             mu = min(resid.entries, key=position.__getitem__)
-            if mu not in inf_labels:
+            if mu not in inf_row:
                 raise NotInBInfinity(format_multipartition(mu))
             d = resid.coeff(mu)
             coeffs[mu] = d
             resid = resid.sub_scaled(ginf.vectors[mu], d)
-        cols[lam] = coeffs
-    entries = tuple(
-        tuple(cols[lam].get(nu, ZERO) for lam in ge.labels) for nu in ginf.labels
-    )
-    return PolyMatrix(ginf.labels, ge.labels, entries)
+        for nu, c in coeffs.items():
+            rows[inf_row[nu]].append((j, c))
+    return PolyMatrix(ginf.labels, ge.labels, tuple(map(tuple, rows)))
 
 
 def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
@@ -260,7 +280,7 @@ def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
         tuple(out_cols[cj][j] for cj in range(len(de.col_labels)))
         for j in range(ncols)
     )
-    return PolyMatrix(dinf.col_labels, de.col_labels, entries)
+    return PolyMatrix.from_dense(dinf.col_labels, de.col_labels, entries)
 
 
 def verify(
@@ -292,7 +312,11 @@ def verify(
     report = []
 
     prod = dinf.matmul(drel)
-    ok = de.row_labels == dinf.row_labels and prod.entries == de.entries
+    ok = (
+        de.row_labels == dinf.row_labels
+        and len(de.col_labels) == len(prod.col_labels)
+        and prod.row_nonzeros == de.row_nonzeros
+    )
     report.append(
         {
             "check": "product",
@@ -301,17 +325,17 @@ def verify(
         }
     )
 
-    rows = drel.row_index
-    diag_ok = all(
-        lam in rows and drel.entries[rows[lam]][j] == ONE
-        for j, lam in enumerate(drel.col_labels)
-    )
-    off_diagonal = [
-        (nu, drel.col_labels[j], c)
-        for nu, cells in zip(drel.row_labels, drel.row_nonzeros)
-        for j, c in cells
-        if nu != drel.col_labels[j]
-    ]
+    # the row of each column's diagonal cell, None when its label is no row
+    diag_row = [drel.row_index.get(lam) for lam in drel.col_labels]
+    diagonal = [ZERO] * len(diag_row)
+    off_diagonal = []
+    for i, cells in enumerate(drel.row_nonzeros):
+        for j, c in cells:
+            if diag_row[j] == i:
+                diagonal[j] = c
+            else:
+                off_diagonal.append((i, j, c))
+    diag_ok = all(c == ONE for c in diagonal)
     tri_ok = all(c.in_v_ztimes() for _, _, c in off_diagonal)
     report.append(
         {
@@ -321,9 +345,13 @@ def verify(
         }
     )
 
+    # one prefix-sum key per distinct label, not two per nonzero cell
+    cols = [drel.col_labels[j] for _, j, _ in off_diagonal]
+    rows = [drel.row_labels[i] for i, _, _ in off_diagonal]
+    key = {lab: gamma_prefix_sums(lab, charge) for lab in {*cols, *rows}}
     order_ok = all(
-        compare_dominance(lam, nu, charge) is Ordering.GREATER
-        for nu, lam, _ in off_diagonal
+        compare_prefix_sums(key[lam], key[nu]) is Ordering.GREATER
+        for lam, nu in zip(cols, rows)
     )
     report.append(
         {
@@ -349,7 +377,7 @@ def verify(
 
     lhs = de.eval_one()
     spec_ok = lhs == prod.eval_one() and _int_matmul(
-        dinf.eval_one(), drel.eval_one()
+        _int_rows(dinf), _int_rows(drel), len(drel.col_labels)
     ) == lhs
     report.append(
         {
@@ -365,17 +393,20 @@ def all_pass(report: list[dict]) -> bool:
     return all(item["pass"] for item in report)
 
 
-def _int_matmul(a, b):
-    """Product of two integer matrices (tuples of rows), over nonzeros only."""
-    width = len(b[0])
-    right = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+def _int_rows(m: PolyMatrix) -> list[list[tuple[int, int]]]:
+    """The (column index, value) cells of each row at v=1."""
+    return [[(j, p.eval_one()) for j, p in cells] for cells in m.row_nonzeros]
+
+
+def _int_matmul(a, b, width: int) -> tuple[tuple[int, ...], ...]:
+    """Product of two integer matrices given as sparse rows of (index, value)
+    cells, as dense rows of ``width`` columns."""
     out = []
     for row in a:
         acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                for j, y in right[k]:
-                    acc[j] += x * y
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
 
@@ -451,14 +482,14 @@ def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
     every newline followed by ``2 * depth`` more spaces, which is how
     json.dumps lays the object out as a value ``depth`` levels down.
 
-    >>> m = PolyMatrix((((1,),),), (((1,),),), ((ONE,),))
+    >>> m = PolyMatrix((((1,),),), (((1,),),), (((0, ONE),),))
     >>> parts = []
     >>> append_matrix_json(parts, m)
     >>> "".join(parts) == json.dumps(matrix_to_json_obj(m), indent=2)
     True
     """
     i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
-    cells: dict[LaurentPoly, str] = {ZERO: "[]"}
+    cells: dict[LaurentPoly, str] = {}
 
     def labels(labs) -> str:
         return _json_list([json.dumps(format_multipartition(x)) for x in labs], i2, i1)
@@ -466,19 +497,19 @@ def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
     parts.append("{" + i1 + '"row_labels": ' + labels(m.row_labels))
     parts.append("," + i1 + '"col_labels": ' + labels(m.col_labels))
     parts.append("," + i1 + '"entries": ')
-    if not m.entries:
+    if not m.row_nonzeros:
         parts.append("[]")
     else:
+        empty_row = ["[]"] * len(m.col_labels)
         row_sep = "[" + i2
-        for row in m.entries:
-            try:
-                texts = list(map(cells.__getitem__, row))
-            except KeyError:
-                for p in row:
-                    if p not in cells:
-                        # a cell sits three levels below the matrix object
-                        cells[p] = json.dumps(p.to_pairs(), indent=2).replace("\n", i3)
-                texts = list(map(cells.__getitem__, row))
+        for row in m.row_nonzeros:
+            texts = empty_row.copy()
+            for j, p in row:
+                text = cells.get(p)
+                if text is None:
+                    # a cell sits three levels below the matrix object
+                    text = cells[p] = json.dumps(p.to_pairs(), indent=2).replace("\n", i3)
+                texts[j] = text
             parts.append(row_sep + _json_list(texts, i3, i2))
             row_sep = "," + i2
         parts.append(i1 + "]")

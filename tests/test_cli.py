@@ -326,6 +326,15 @@ def test_module_execution_matches_function():
     assert proc.stdout == "Greater\n"
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # importing dataclasses (with inspect, ast and dis) is a large share of
+    # the CLI's start-up time, and nothing in the package needs it
+    code = "import sys, fockdec.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_dash_values_accept_the_space_form(capsys):
     # (option, value) pairs whose value starts with '-', with the rest of
     # each command line; the space form must match the equals form

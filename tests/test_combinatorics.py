@@ -16,12 +16,14 @@ from fockdec.combinatorics import (
     add_node,
     addable_nodes,
     compare_dominance,
+    compare_prefix_sums,
     content,
     empty,
     enumerate_multipartitions,
     format_charge,
     format_multipartition,
     gamma_lex_sorted,
+    gamma_prefix_sums,
     gamma_sequence,
     node_key,
     node_less,
@@ -195,6 +197,44 @@ def test_compare_dominance_fixtures():
     assert compare_dominance(mp("-|2.1"), mp("2|1"), (0, 0)) is Ordering.INCOMPARABLE
     with pytest.raises(RankMismatch):
         compare_dominance(mp("3"), mp("2"), (0,))
+
+
+def _running_difference_order(a, b, charge):
+    """Dominance by the running difference of the two gamma sequences."""
+    ge = le = True
+    run = 0
+    for xa, xb in zip(gamma_sequence(a, charge), gamma_sequence(b, charge)):
+        run += xa - xb
+        ge, le = ge and run >= 0, le and run <= 0
+    if ge and le:
+        return Ordering.EQUAL
+    return Ordering.GREATER if ge else Ordering.LESS if le else Ordering.INCOMPARABLE
+
+
+@st.composite
+def equal_rank_pairs(draw):
+    """(charge, a, b): level 1-3, random charge, a and b of one rank."""
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-4, 4), min_size=level, max_size=level)))
+    n = draw(st.integers(0, 6))
+    layer = enumerate_multipartitions(level, n, charge)
+    return charge, draw(st.sampled_from(layer)), draw(st.sampled_from(layer))
+
+
+@given(equal_rank_pairs())
+@settings(max_examples=300, deadline=None)
+def test_prefix_sum_rule_is_the_dominance_order(case):
+    charge, a, b = case
+    want = _running_difference_order(a, b, charge)
+    keys = gamma_prefix_sums(a, charge), gamma_prefix_sums(b, charge)
+    assert compare_prefix_sums(*keys) is want
+    assert compare_dominance(a, b, charge) is want
+    assert (want is Ordering.EQUAL) == (a == b)
+
+
+def test_compare_prefix_sums_rejects_unequal_ranks():
+    with pytest.raises(RankMismatch):
+        compare_prefix_sums(gamma_prefix_sums(mp("3"), (0,)), gamma_prefix_sums(mp("2"), (0,)))
 
 
 def test_compare_dominance_takes_no_modulus():

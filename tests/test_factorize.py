@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockdec.canonical import canonical_basis
-from fockdec.combinatorics import parse_multipartition
+from fockdec.combinatorics import (
+    Ordering,
+    compare_dominance,
+    format_multipartition,
+    parse_multipartition,
+)
 from fockdec.factorize import (
     InconsistentSystem,
     NonTermination,
@@ -51,7 +57,7 @@ def poly(*pairs):
 def small_matrix():
     rows = (mp("2"), mp("1.1"))
     cols = (mp("2"), mp("1.1"))
-    return PolyMatrix(rows, cols, ((ONE, ZERO), (poly((1, 1)), ONE)))
+    return PolyMatrix.from_dense(rows, cols, ((ONE, ZERO), (poly((1, 1)), ONE)))
 
 
 def rank3_triple():
@@ -63,9 +69,9 @@ def rank3_triple():
 def test_shape_validation():
     rows = (mp("2"), mp("1.1"))
     with pytest.raises(ValueError):
-        PolyMatrix(rows, rows, ((ONE, ZERO),))  # one row short
+        PolyMatrix.from_dense(rows, rows, ((ONE, ZERO),))  # one row short
     with pytest.raises(ValueError):
-        PolyMatrix(rows, rows, ((ONE,), (ZERO,)))  # one column short
+        PolyMatrix.from_dense(rows, rows, ((ONE,), (ZERO,)))  # one column short
 
 
 def test_entry_and_column_access():
@@ -88,12 +94,12 @@ def test_entry_and_column_reject_unknown_labels():
 
 def test_matmul():
     m = small_matrix()
-    eye = PolyMatrix(m.col_labels, m.col_labels, ((ONE, ZERO), (ZERO, ONE)))
+    eye = PolyMatrix.from_dense(m.col_labels, m.col_labels, ((ONE, ZERO), (ZERO, ONE)))
     assert m.matmul(eye).entries == m.entries
     sq = m.matmul(m)
     assert sq.entry(mp("1.1"), mp("2")) == poly((1, 2))
     with pytest.raises(ValueError):
-        m.matmul(PolyMatrix((mp("3"),), (mp("3"),), ((ONE,),)))
+        m.matmul(PolyMatrix.from_dense((mp("3"),), (mp("3"),), ((ONE,),)))
 
 
 small_polys = st.builds(
@@ -125,9 +131,9 @@ def _labels(n):
 @st.composite
 def poly_matrix_pairs(draw):
     m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
-    cell = st.one_of(st.just(ZERO), small_polys)
-    a = PolyMatrix(_labels(m), _labels(k), _sparse_cells(draw, m, k, cell, ZERO))
-    b = PolyMatrix(_labels(k), _labels(n), _sparse_cells(draw, k, n, cell, ZERO))
+    cell = st.one_of(st.just(ZERO), st.builds(LaurentPoly), small_polys)
+    a = PolyMatrix.from_dense(_labels(m), _labels(k), _sparse_cells(draw, m, k, cell, ZERO))
+    b = PolyMatrix.from_dense(_labels(k), _labels(n), _sparse_cells(draw, k, n, cell, ZERO))
     return a, b
 
 
@@ -154,6 +160,16 @@ def test_matmul_matches_dense_triple_loop(pair):
     assert prod.row_labels == a.row_labels
     assert prod.col_labels == b.col_labels
     assert prod.entries == dense
+    _assert_sparse_rows(prod)
+
+
+def _assert_sparse_rows(m):
+    """Stored rows hold exactly the nonzero cells, in column order, and the
+    dense view fills every other cell with the ZERO object."""
+    for stored, dense in zip(m.row_nonzeros, m.entries):
+        assert [j for j, _ in stored] == [j for j, p in enumerate(dense) if p]
+        assert all(dense[j] is p for j, p in stored)
+        assert all(p is ZERO for p in dense if not p)
 
 
 @given(int_matrix_pairs())
@@ -164,7 +180,21 @@ def test_int_matmul_matches_dense_product(pair):
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))
     )
-    assert _int_matmul(a, b) == dense
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    assert _int_matmul([[(k, x) for k, x in enumerate(row)] for row in a], sparse, len(b[0])) == dense
+
+
+def test_int_matmul_empty_inner_dimension():
+    assert _int_matmul([[]], [], 0) == ((),)
+    assert _int_matmul([[], []], [], 3) == ((0, 0, 0), (0, 0, 0))
+    # a 1 x 0 no-modulus matrix times a 0 x 1 relative matrix
+    row, col = (mp("2"),), (mp("1.1"),)
+    dinf = PolyMatrix(row, (), ((),))
+    drel = PolyMatrix((), col, ())
+    de = PolyMatrix(row, col, ((),))
+    report = {r["check"]: r["pass"] for r in verify(de, dinf, drel, (0,))}
+    assert report["product"] and report["specialization"]
+    assert not report["unitriangular"]
 
 
 def test_eval_one():
@@ -243,16 +273,16 @@ def test_oracle_equivalence_small_sweep():
 
 def test_oracle_rejects_inconsistent_system():
     rows = (mp("2"), mp("1.1"))
-    dinf = PolyMatrix(rows, (mp("2"),), ((ONE,), (poly((1, 1)),)))
-    de = PolyMatrix(rows, (mp("1.1"),), ((ONE,), (ONE,)))
+    dinf = PolyMatrix.from_dense(rows, (mp("2"),), ((ONE,), (poly((1, 1)),)))
+    de = PolyMatrix.from_dense(rows, (mp("1.1"),), ((ONE,), (ONE,)))
     with pytest.raises(InconsistentSystem):
         back_substitution_oracle(de, dinf)
 
 
 def test_oracle_rejects_cyclic_support():
     rows = (mp("2"), mp("1.1"))
-    dinf = PolyMatrix(rows, rows, ((ONE, poly((1, 1))), (poly((1, 1)), ONE)))
-    de = PolyMatrix(rows, (mp("2"),), ((ONE,), (ZERO,)))
+    dinf = PolyMatrix.from_dense(rows, rows, ((ONE, poly((1, 1))), (poly((1, 1)), ONE)))
+    de = PolyMatrix.from_dense(rows, (mp("2"),), ((ONE,), (ZERO,)))
     with pytest.raises(ValueError):
         back_substitution_oracle(de, dinf)
 
@@ -306,7 +336,7 @@ def _with_entry(m, row, col, value):
         tuple(value if (a, b) == (i, j) else m.entries[a][b] for b in range(len(r)))
         for a, r in enumerate(m.entries)
     )
-    return PolyMatrix(m.row_labels, m.col_labels, entries)
+    return PolyMatrix.from_dense(m.row_labels, m.col_labels, entries)
 
 
 def test_verify_detects_broken_diagonal():
@@ -347,6 +377,29 @@ def test_verify_detects_order_violation():
     assert not report["order"]
 
 
+@lru_cache(maxsize=None)
+def _charged_triple(e, charge, n):
+    ge, gi = canonical_basis(e, charge, n), canonical_basis(None, charge, n)
+    return basis_matrix(ge), basis_matrix(gi), extract_relative(ge, gi)
+
+
+@given(
+    st.sampled_from([(2, (0, 0), 4), (3, (0, 1, 2), 3), (2, (1, 0, 2), 3), (3, (0,), 5)]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_verify_order_check_is_the_dominance_order(config, data):
+    """A new off-diagonal cell passes the order check exactly when its column
+    label dominates its row label."""
+    charge = config[1]
+    de, di, rel = _charged_triple(*config)
+    nu = data.draw(st.sampled_from(rel.row_labels))
+    lam = data.draw(st.sampled_from([c for c in rel.col_labels if c != nu]))
+    bad = _with_entry(rel, nu, lam, poly((1, 1)))
+    report = {r["check"]: r["pass"] for r in verify(de, di, bad, charge)}
+    assert report["order"] == (compare_dominance(lam, nu, charge) is Ordering.GREATER)
+
+
 def test_verify_detects_constant_off_diagonal():
     de, di, rel = rank3_triple()
     bad = _with_entry(rel, mp("1|1.1"), mp("-|3"), ONE)
@@ -385,9 +438,10 @@ wide_polys = st.builds(
 
 
 @st.composite
-def json_matrices(draw):
-    """Matrices with empty shapes, negative and huge coefficients, and equal
-    cells that are distinct objects (including zeros other than ZERO)."""
+def dense_tables(draw):
+    """(rows, cols, cells) with empty shapes, negative and huge coefficients,
+    and equal cells that are distinct objects (including zeros other than
+    ZERO)."""
     rows = draw(st.lists(st.sampled_from(MP_LABELS), max_size=4, unique=True))
     cols = draw(st.lists(st.sampled_from(MP_LABELS), max_size=4, unique=True))
     pool = draw(st.lists(wide_polys, min_size=1, max_size=3))
@@ -396,11 +450,15 @@ def json_matrices(draw):
     cells = [ZERO if k == len(pool) else LaurentPoly(pool[k].val, pool[k].coeffs)
              for k in picks]
     entries = tuple(tuple(cells[r * len(cols):(r + 1) * len(cols)]) for r in range(len(rows)))
-    return PolyMatrix(tuple(rows), tuple(cols), entries)
+    return tuple(rows), tuple(cols), entries
+
+
+def json_matrices():
+    return dense_tables().map(lambda table: PolyMatrix.from_dense(*table))
 
 
 @given(json_matrices(), st.integers(0, 2))
-@example(PolyMatrix((((), ()),), (((), ()),), ((ONE,),)), 1)
+@example(PolyMatrix.from_dense((((), ()),), (((), ()),), ((ONE,),)), 1)
 @settings(max_examples=200, deadline=None)
 def test_matrix_json_text_matches_json_dumps(m, depth):
     """The direct text equals json.dumps(indent=2) of the documented
@@ -416,6 +474,28 @@ def test_matrix_json_text_matches_json_dumps(m, depth):
     assert head + text + tail == json.dumps(nested, indent=2)
 
 
+@given(dense_tables(), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_dense_construction_keeps_only_nonzero_cells(table, depth):
+    rows, cols, cells = table
+    m = PolyMatrix.from_dense(rows, cols, cells)
+    assert m.entries == cells
+    _assert_sparse_rows(m)
+    eye = PolyMatrix.from_dense(cols, cols, tuple(
+        tuple(ONE if a == b else ZERO for b in range(len(cols))) for a in range(len(cols))
+    ))
+    assert m.matmul(eye).row_nonzeros == m.row_nonzeros
+    # the JSON text is json.dumps of the dense input table itself
+    obj = {
+        "row_labels": [format_multipartition(r) for r in rows],
+        "col_labels": [format_multipartition(c) for c in cols],
+        "entries": [[p.to_pairs() for p in row] for row in cells],
+    }
+    parts = []
+    append_matrix_json(parts, m, depth)
+    assert "".join(parts) == json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def test_matrix_json_formats_each_distinct_cell_once(monkeypatch):
     calls = []
     to_pairs = LaurentPoly.to_pairs
@@ -426,7 +506,7 @@ def test_matrix_json_formats_each_distinct_cell_once(monkeypatch):
         (LaurentPoly(0, ()), LaurentPoly(1, (1,)), LaurentPoly(-2, (2**65, 0, -1))),
         (LaurentPoly(1, (1,)), LaurentPoly(-2, (2**65, 0, -1)), ZERO),
     )
-    append_matrix_json([], PolyMatrix(labels, labels, cells), 1)
+    append_matrix_json([], PolyMatrix.from_dense(labels, labels, cells), 1)
     assert sorted(calls, key=lambda p: p.val) == [LaurentPoly(-2, (2**65, 0, -1)), V]
 
 
