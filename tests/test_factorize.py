@@ -74,6 +74,18 @@ def test_shape_validation():
         PolyMatrix.from_dense(rows, rows, ((ONE,), (ZERO,)))  # one column short
 
 
+def test_sparse_shape_validation():
+    rows = (mp("2"), mp("1.1"))
+    with pytest.raises(ValueError):
+        PolyMatrix(rows, rows, (((0, ONE),),))  # one row short
+    with pytest.raises(ValueError):
+        PolyMatrix(rows, rows, (((2, ONE),), ()))  # column index past the last
+    with pytest.raises(ValueError):
+        PolyMatrix(rows, rows, (((-1, ONE),), ()))
+    with pytest.raises(AttributeError):
+        small_matrix().row_labels = rows
+
+
 def test_entry_and_column_access():
     m = small_matrix()
     assert m.entry(mp("1.1"), mp("2")) == poly((1, 1))
