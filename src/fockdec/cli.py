@@ -364,9 +364,16 @@ def _e_value(text: str) -> Optional[int]:
 
 
 def _finite_e_value(text: str) -> int:
-    value = _e_value(text)
-    if value is None:
+    if text.strip().lower() in ("inf", "infinity"):
         raise argparse.ArgumentTypeError("this command needs a finite period")
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"e must be an integer >= 2, not {text!r}"
+        ) from exc
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"e must be an integer >= 2, not {value}")
     return value
 
 

@@ -47,6 +47,8 @@ __all__ = [
     "remove_node",
     "content",
     "residue",
+    "i_nodes",
+    "add_boxes",
     "node_key",
     "node_less",
     "addable_nodes",
@@ -183,6 +185,57 @@ def residue(c: int, e: Optional[int]) -> int:
     return c if e is None else c % e
 
 
+def i_nodes(
+    mp: Multipartition, charge: Charge, e: Optional[int], i: int
+) -> tuple[list[tuple[tuple[int, int], int, int]], list[tuple[int, int]]]:
+    """The addable and removable i-nodes of mp, found in one scan.
+
+    Addable nodes come as (node key, component index, row index), both
+    indices 0-based; removable nodes as node keys.  Both lists ascend in
+    the node order.  This is the scan behind the Fock operators and the
+    crystal's good nodes; addable_nodes and removable_nodes list the same
+    nodes as Node triples.
+
+    >>> i_nodes(((1,), ()), (0, 0), 2, 0)
+    ([((0, 2), 1, 0)], [(0, 1)])
+    """
+    adds = []
+    rems = []
+    # the residue test is _match's rule, written inline on this hot path
+    for ci, (part, s) in enumerate(zip(mp, charge)):
+        comp = ci + 1
+        n = len(part)
+        for r in range(n + 1):
+            here = part[r] if r < n else 0
+            if r == 0 or part[r - 1] > here:
+                c = here - r + s
+                if (c == i) if e is None else ((c - i) % e == 0):
+                    adds.append(((c, comp), ci, r))
+            if r < n and here > (part[r + 1] if r + 1 < n else 0):
+                c = here - 1 - r + s
+                if (c == i) if e is None else ((c - i) % e == 0):
+                    rems.append((c, comp))
+    adds.sort()
+    rems.sort()
+    return adds, rems
+
+
+def add_boxes(mp: Multipartition, picks: list[tuple[int, int]]) -> Multipartition:
+    """Insert boxes given as (component index, row index) pairs, 0-based.
+
+    The pairs are i_nodes' addable entries without their key; each must be
+    addable when its turn comes.
+    """
+    comps = list(mp)
+    for ci, r in picks:
+        part = comps[ci]
+        if r < len(part):
+            comps[ci] = part[:r] + (part[r] + 1,) + part[r + 1 :]
+        else:
+            comps[ci] = part + (1,)
+    return tuple(comps)
+
+
 def node_key(node: Node, charge: Charge) -> tuple[int, int]:
     """Sort key for the node order: content first, then component index."""
     return (content(node, charge), node.comp)
@@ -198,6 +251,7 @@ def node_less(a: Node, b: Node, charge: Charge) -> bool:
 
 
 def _match(c: int, e: Optional[int], i: Optional[int]) -> bool:
+    """The residue rule: content c has residue i (every c when i is None)."""
     if i is None:
         return True
     if e is None:

@@ -8,6 +8,15 @@ ones.  The good addable node is the last survivor of the addable block,
 the good removable node the first survivor of the removable block, and
 epsilon counts the removable block.
 
+generate_component does not build that word.  It reads the i-nodes from
+combinatorics.i_nodes, the scan the Fock operators run, as two lists
+ascending in the node order, and finds the good addable node in one merge
+pass over them: a removable node adds one pending removable; an addable
+node cancels one pending removable, or becomes the candidate if none is
+pending; the last candidate is the good addable node.  signature_blocks
+and the functions built on it keep the word form as the independent route
+that canonical.peeling_sequence and the tests use.
+
 Adding the good addable node is injective with inverse "remove the good
 removable node", which makes the set of multipartitions reachable from the
 empty one a combinatorial component that this module generates rank by
@@ -31,12 +40,14 @@ from .combinatorics import (
     Charge,
     Multipartition,
     Node,
+    add_boxes,
     add_node,
     addable_nodes,
     content,
     empty,
     format_multipartition,
     gamma_lex_sorted,
+    i_nodes,
     node_key,
     remove_node,
     removable_nodes,
@@ -113,6 +124,24 @@ def remove_good(
     """Remove the good removable i-node, or None."""
     node = good_removable_node(mp, e, i, charge)
     return None if node is None else remove_node(mp, node)
+
+
+def _good_addable(
+    adds: list[tuple[tuple[int, int], int, int]], rems: list[tuple[int, int]]
+) -> Optional[tuple[tuple[int, int], int, int]]:
+    """The good addable entry of i_nodes' lists, by one merge pass, or None."""
+    good = None
+    pending = j = 0
+    n = len(rems)
+    for add in adds:
+        while j < n and rems[j] < add[0]:
+            j += 1
+            pending += 1
+        if pending:
+            pending -= 1
+        else:
+            good = add
+    return good
 
 
 def residue_alphabet(mp: Multipartition, e: Optional[int], charge: Charge) -> list[int]:
@@ -245,8 +274,9 @@ def generate_component(e: Optional[int], charge: Charge, max_rank: int) -> Cryst
         nxt = set()
         for mp in layers[-1]:
             for i in residue_alphabet(mp, e, charge):
-                up = apply_good(mp, e, i, charge)
-                if up is not None:
+                good = _good_addable(*i_nodes(mp, charge, e, i))
+                if good is not None:
+                    up = add_boxes(mp, [good[1:]])
                     edges[(mp, i)] = up
                     nxt.add(up)
         layers.append(gamma_lex_sorted(nxt, charge))

@@ -42,11 +42,14 @@ from .combinatorics import (
     Charge,
     Multipartition,
     Node,
+    _match,
+    add_boxes,
     add_node,
     addable_nodes,
     content,
     format_multipartition,
     gamma_sequence,
+    i_nodes,
     node_key,
     remove_node,
     removable_nodes,
@@ -247,7 +250,7 @@ def count_N(
             raise InvalidPair(f"{mu} is not {lam} plus {gamma}")
     except ValueError as err:
         raise InvalidPair(str(err)) from None
-    if _residue_mismatch(content(gamma, charge), e, i):
+    if not _match(content(gamma, charge), e, i):
         raise InvalidPair(f"{gamma} does not have residue {i}")
     key = node_key(gamma, charge)
     add_keys = [node_key(n, charge) for n in addable_nodes(lam, charge, e, i)]
@@ -256,39 +259,6 @@ def count_N(
     below = sum(1 for k in add_keys if k < key) - sum(1 for k in rem_keys if k < key)
     total = len(add_keys) - len(removable_nodes(lam, charge, e, i))
     return NodeCounts(above, below, total)
-
-
-def _residue_mismatch(c: int, e: Optional[int], i: int) -> bool:
-    return c != i if e is None else (c - i) % e != 0
-
-
-def _i_nodes(
-    mp: Multipartition, charge: Charge, e: Optional[int], i: int
-) -> tuple[list[tuple[tuple[int, int], int, int]], list[tuple[int, int]]]:
-    """The addable and removable i-nodes of mp, found in one scan.
-
-    Addable nodes come as (node key, component index, row index), both
-    indices 0-based; removable nodes as node keys.  Both lists ascend in
-    the node order.
-    """
-    adds = []
-    rems = []
-    for ci, (part, s) in enumerate(zip(mp, charge)):
-        comp = ci + 1
-        n = len(part)
-        for r in range(n + 1):
-            here = part[r] if r < n else 0
-            if r == 0 or part[r - 1] > here:
-                c = here - r + s
-                if (c == i) if e is None else ((c - i) % e == 0):
-                    adds.append(((c, comp), ci, r))
-            if r < n and here > (part[r + 1] if r + 1 < n else 0):
-                c = here - 1 - r + s
-                if (c == i) if e is None else ((c - i) % e == 0):
-                    rems.append((c, comp))
-    adds.sort()
-    rems.sort()
-    return adds, rems
 
 
 def _single_exponents(
@@ -303,18 +273,6 @@ def _single_exponents(
             j -= 1
         out[pos] = (len(adds) - pos - 1) - (len(rems) - j)
     return out
-
-
-def _add_boxes(mp: Multipartition, picks: list[tuple[int, int]]) -> Multipartition:
-    """Insert boxes given as (component index, row index) pairs, 0-based."""
-    comps = list(mp)
-    for ci, r in picks:
-        part = comps[ci]
-        if r < len(part):
-            comps[ci] = part[:r] + (part[r] + 1,) + part[r + 1 :]
-        else:
-            comps[ci] = part + (1,)
-    return tuple(comps)
 
 
 def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
@@ -424,14 +382,14 @@ def _moves(
     mp: Multipartition, charge: Charge, e: Optional[int], i: int, u: int
 ) -> list[tuple[Multipartition, int]]:
     """The (target, exponent) terms of f_i^(u) applied to mp alone."""
-    adds, rems = _i_nodes(mp, charge, e, i)
+    adds, rems = i_nodes(mp, charge, e, i)
     if len(adds) < u:
         return []
     single = _single_exponents(adds, rems)
     pairs = u * (u - 1) // 2
     return [
         (
-            _add_boxes(mp, [adds[p][1:] for p in subset]),
+            add_boxes(mp, [adds[p][1:] for p in subset]),
             sum(single[p] for p in subset) - pairs,
         )
         for subset in combinations(range(len(adds)), u)

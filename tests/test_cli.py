@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,24 @@ def test_usage_errors_exit_two(capsys):
         rc, _, err = run(capsys, *argv)
         assert rc == 2, argv
         assert err != "", argv
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--e", ["abacus", "--multipartition", "1", "--charge", "0", "--e", "1",
+                 "--r", "7"]),
+        ("--stable-for", ABACUS_ARGS + ["--stable-for", "1"]),
+    ],
+)
+def test_finite_period_flags_reject_one_without_offering_inf(capsys, flag, argv):
+    # abacus takes no 'inf', so its message must not offer it
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"argument {flag}: e must be an integer >= 2, not 1"
+    ), err
 
 
 def test_abacus_text_golden(capsys):

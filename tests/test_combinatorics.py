@@ -13,6 +13,7 @@ from fockdec.combinatorics import (
     Node,
     Ordering,
     RankMismatch,
+    add_boxes,
     add_node,
     addable_nodes,
     compare_dominance,
@@ -25,6 +26,7 @@ from fockdec.combinatorics import (
     gamma_lex_sorted,
     gamma_prefix_sums,
     gamma_sequence,
+    i_nodes,
     node_key,
     node_less,
     parse_charge,
@@ -35,7 +37,6 @@ from fockdec.combinatorics import (
     remove_node,
     residue,
 )
-from fockdec.fock import _i_nodes
 
 
 def mp(text):
@@ -153,9 +154,11 @@ def test_residue_filters_follow_the_one_residue_rule(case):
         want_rems = [n for n in rems if residue(content(n, charge), e) == i]
         assert addable_nodes(lam, charge, e, i) == want_adds
         assert removable_nodes(lam, charge, e, i) == want_rems
-        scan_adds, scan_rems = _i_nodes(lam, charge, e, i)
+        scan_adds, scan_rems = i_nodes(lam, charge, e, i)
         assert scan_adds == [(node_key(n, charge), n.comp - 1, n.row - 1) for n in want_adds]
         assert scan_rems == [node_key(n, charge) for n in want_rems]
+        for (_, ci, r), n in zip(scan_adds, want_adds):
+            assert add_boxes(lam, [(ci, r)]) == add_node(lam, n)
 
 
 def test_addable_removable_fixtures():

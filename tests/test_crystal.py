@@ -5,15 +5,23 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fockdec.crystal
 from fockdec.combinatorics import (
     Node,
+    empty,
     format_multipartition,
+    gamma_lex_sorted,
+    i_nodes,
+    node_key,
     parse_multipartition,
     rank,
 )
 from fockdec.crystal import (
     CrystalGraph,
+    _good_addable,
     apply_good,
     epsilon,
     generate_component,
@@ -183,3 +191,84 @@ def test_graph_is_frozen():
     with pytest.raises(Exception):
         g.max_rank = 5
     assert isinstance(g, CrystalGraph)
+
+
+def _signature_component(e, charge, max_rank):
+    # the per-residue generation by the signature rule, kept as the oracle:
+    # apply_good for every residue of residue_alphabet, then the layer sort
+    layers = [[empty(len(charge))]]
+    edges = {}
+    for _ in range(max_rank):
+        nxt = set()
+        for src in layers[-1]:
+            for i in residue_alphabet(src, e, charge):
+                up = apply_good(src, e, i, charge)
+                if up is not None:
+                    edges[(src, i)] = up
+                    nxt.add(up)
+        layers.append(gamma_lex_sorted(nxt, charge))
+    return tuple(map(tuple, layers)), edges
+
+
+@st.composite
+def crystal_configs(draw):
+    """(e, charge, rank): level 1-3, charges in [-3, 3], ascending or not."""
+    e = draw(st.sampled_from((2, 3, 5, None)))
+    level = draw(st.integers(1, 3))
+    charge = draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level))
+    if draw(st.booleans()):
+        charge.sort()
+    return e, tuple(charge), draw(st.integers(0, 5))
+
+
+@given(crystal_configs())
+@settings(max_examples=80, deadline=None)
+@example((2, (0, 0), 5))
+@example((None, (0, 1, 2), 5))
+@example((3, (3, -3, 0), 5))
+def test_merge_pass_component_matches_signature_oracle(config):
+    e, charge, max_rank = config
+    g = generate_component(e, charge, max_rank)
+    layers, edges = _signature_component(e, charge, max_rank)
+    assert g.layers == layers
+    assert g.edges == edges
+
+
+@st.composite
+def residue_cases(draw):
+    """(multipartition, e, i, charge), i possibly carrying no node at all."""
+    e = draw(st.sampled_from((2, 3, 5, None)))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level)))
+    parts = st.lists(st.integers(1, 5), max_size=4).map(
+        lambda p: tuple(sorted(p, reverse=True))
+    )
+    lam = tuple(draw(st.lists(parts, min_size=level, max_size=level)))
+    i = draw(st.integers(0, e - 1) if e else st.integers(-12, 12))
+    return lam, e, i, charge
+
+
+@given(residue_cases())
+@settings(max_examples=300, deadline=None)
+@example((((),), 5, 3, (0,)))  # no 3-node on the empty partition
+@example((((1,), (1,)), None, 9, (0, 0)))  # no node of content 9
+@example((((1,), (1,)), 2, 0, (0, 0)))  # removable 0-nodes only
+def test_merge_pass_finds_the_signature_good_node(case):
+    lam, e, i, charge = case
+    good = _good_addable(*i_nodes(lam, charge, e, i))
+    node = good_node(lam, e, i, charge)
+    if node is None:
+        assert good is None
+    else:
+        assert good == (node_key(node, charge), node.comp - 1, node.row - 1)
+
+
+def test_finite_e_generation_reads_no_node_lists(monkeypatch):
+    # at finite e the edges come from the i-node scan alone
+    def refuse(*args):
+        raise AssertionError("Node-based scan called")
+
+    for name in ("signature_blocks", "addable_nodes", "removable_nodes"):
+        monkeypatch.setattr(fockdec.crystal, name, refuse)
+    g = generate_component(3, (0, 1), 5)
+    assert sum(map(len, g.layers)) > 1
