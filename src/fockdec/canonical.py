@@ -30,7 +30,8 @@ reduction.  A dependency cycle between vertices would make the system
 unsolvable by this route and raises OrderViolation; none has been
 observed.  Every other internal check (peeling runs out of good nodes,
 elimination does not terminate or leaves an off-label coefficient outside
-v*Z[v]) raises InvariantViolated, so it holds under python -O as well.
+v*Z[v], brute_force_basis fails to settle a vertex) raises
+InvariantViolated, so it holds under python -O as well.
 
 The construction never uses dominance of the charge, so it runs at any
 charge directly.  All peeling words of a rank are applied in one pass
@@ -359,7 +360,7 @@ def brute_force_basis(
         while True:
             rounds += 1
             if rounds > 8 * len(verts) + 64:
-                raise RuntimeError("coordinate adjustment failed to terminate")
+                raise InvariantViolated("coordinate adjustment failed to terminate")
             y = FockVector(charge, {})
             for kap, c in coords.items():
                 y = y + amat[kap].scale(c)
@@ -373,10 +374,17 @@ def brute_force_basis(
                     ):
                         offender = mp
             if offender is None:
-                assert y.coeff(lam) == ONE
+                if y.coeff(lam) != ONE:
+                    raise InvariantViolated(
+                        f"coefficient of {format_multipartition(lam)} at its own "
+                        f"label is {y.coeff(lam)}, not 1"
+                    )
                 out[lam] = y
                 break
-            assert offender in amat, f"offender {offender} is not a vertex"
+            if offender not in amat:
+                raise InvariantViolated(
+                    f"offender {format_multipartition(offender)} is not a vertex"
+                )
             m = bar_symmetric_part(y.coeff(offender))
             coords[offender] = coords.get(offender, LaurentPoly()) - m
     return out

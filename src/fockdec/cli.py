@@ -88,8 +88,8 @@ class RunConfig(NamedTuple):
     e: Optional[int]  # None means no modulus
     charge: Charge
     rank: int
-    format: str = "text"
-    guard: int = GUARD_DEFAULT
+    format: str
+    guard: int
 
 
 def _out(text: str) -> None:
@@ -153,7 +153,7 @@ def cmd_crystal(cfg: RunConfig) -> int:
             lines.append(f"rank {n}: {names}")
         for (src, i), dst in sorted(
             graph.edges.items(),
-            key=lambda kv: (len(kv[1]), kv[0][1], kv[0][0]),
+            key=lambda kv: (kv[0][1], kv[0][0]),
         ):
             lines.append(
                 f"{format_multipartition(src)} -{i}-> {format_multipartition(dst)}"
@@ -312,7 +312,6 @@ def cmd_order(
     left: Multipartition,
     right: Multipartition,
     charge: Optional[Charge],
-    pad: int,
     fmt: str,
 ) -> int:
     """Emit the dominance relation between two multipartitions."""
@@ -329,7 +328,7 @@ def cmd_order(
             f"level {len(left)} multipartitions with level {len(charge)} charge", 2
         )
     try:
-        rel = compare_dominance(left, right, charge, pad)
+        rel = compare_dominance(left, right, charge)
     except ValueError as exc:
         return _fail(str(exc), 2)
     if fmt == "json":
@@ -455,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first multipartition")
     p.add_argument("--right", type=_mp_value, required=True)
     p.add_argument("--charge", type=_charge_value, default=None)
-    p.add_argument("--pad", type=_nonneg_value, default=0)
     p.add_argument("--format", default="text", help="one of: json, text")
 
     return parser
@@ -538,7 +536,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.format,
         )
     if args.command == "order":
-        return cmd_order(args.left, args.right, args.charge, args.pad, args.format)
+        return cmd_order(args.left, args.right, args.charge, args.format)
     return _fail(f"unknown command {args.command!r}", 2)
 
 

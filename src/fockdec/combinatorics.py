@@ -8,7 +8,10 @@ content mod e (e=None throughout the package means "no modulus", i.e. the
 content itself is the residue).
 
 The dominance comparison never takes a modulus: it is computed from a
-charge-and-level-shifted beta-sequence, identical for every e.
+charge-and-level-shifted beta-sequence, identical for every e.  Each
+component's sequence is cut at the rank, whatever the charge: deeper
+entries are shared by every multipartition of that rank and charge, so
+they change no comparison.
 
 >>> mp = parse_multipartition("1.1|1.1|1")
 >>> format_multipartition(mp), rank(mp)
@@ -23,7 +26,7 @@ import enum
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import ge, le
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -300,36 +303,35 @@ def removable_nodes(
     return out
 
 
-def gamma_sequence(mp: Multipartition, charge: Charge, pad: int = 0) -> tuple[int, ...]:
+def gamma_sequence(mp: Multipartition, charge: Charge) -> tuple[int, ...]:
     """The descending comparison sequence behind the dominance order.
 
     Component i contributes parts[j] - j + charge[i] - (l+1-i)/(l+1) for
-    j = 1 .. rank + max(charge[i], 0) + pad.  Values are returned scaled by
-    l+1 so everything stays an exact int.  Enlarging pad only appends
-    entries that every equal-rank multipartition shares, so comparisons do
-    not depend on it.
+    j = 1 .. rank, scaled by l+1 so everything stays an exact int.  The
+    rank is deep enough at any charge: no component has more than rank
+    parts, so the entries a deeper cut would add are the same for every
+    multipartition of that rank and charge, and adding the same entries to
+    two equal-sum sequences changes neither the prefix-sum rule nor the
+    lexicographic order of the sorted sequences.
     """
     lv = len(mp)
     if lv != len(charge):
         raise ValueError(f"level {lv} multipartition with level {len(charge)} charge")
-    if pad < 0:
-        raise ValueError(f"negative pad {pad}")
     n = rank(mp)
     scale = lv + 1
     out = []
     for i, (part, s) in enumerate(zip(mp, charge), start=1):
-        depth = n + max(s, 0) + pad
         frac = scale - i
-        for j in range(1, depth + 1):
+        for j in range(1, n + 1):
             pj = part[j - 1] if j <= len(part) else 0
             out.append(scale * (pj - j + s) - frac)
     out.sort(reverse=True)
     return tuple(out)
 
 
-def gamma_prefix_sums(mp: Multipartition, charge: Charge, pad: int = 0) -> tuple[int, ...]:
+def gamma_prefix_sums(mp: Multipartition, charge: Charge) -> tuple[int, ...]:
     """The running sums of gamma_sequence: the key the dominance order compares."""
-    return tuple(accumulate(gamma_sequence(mp, charge, pad)))
+    return tuple(accumulate(gamma_sequence(mp, charge)))
 
 
 def compare_prefix_sums(a: tuple[int, ...], b: tuple[int, ...]) -> Ordering:
@@ -344,9 +346,7 @@ def compare_prefix_sums(a: tuple[int, ...], b: tuple[int, ...]) -> Ordering:
     return Ordering.LESS if all(map(le, a, b)) else Ordering.INCOMPARABLE
 
 
-def compare_dominance(
-    a: Multipartition, b: Multipartition, charge: Charge, pad: int = 0
-) -> Ordering:
+def compare_dominance(a: Multipartition, b: Multipartition, charge: Charge) -> Ordering:
     """Compare in the charged dominance order (no modulus involved).
 
     Greater means a dominates b: every prefix sum of a's gamma sequence is
@@ -357,31 +357,24 @@ def compare_dominance(
         raise RankMismatch(f"rank {na} vs rank {nb}")
     if a == b:
         return Ordering.EQUAL
-    order = compare_prefix_sums(
-        gamma_prefix_sums(a, charge, pad), gamma_prefix_sums(b, charge, pad)
-    )
+    order = compare_prefix_sums(gamma_prefix_sums(a, charge), gamma_prefix_sums(b, charge))
     if order is Ordering.EQUAL:
         raise ValueError(f"distinct multipartitions {a} and {b} share a gamma sequence")
     return order
 
 
-def gamma_lex_sorted(
-    mps: Iterator[Multipartition] | list[Multipartition],
-    charge: Charge,
-    pad: int = 0,
-    reverse: bool = True,
-) -> list[Multipartition]:
-    """Sort by the gamma sequence, lexicographically, descending by default.
+def gamma_lex_sorted(mps: Iterable[Multipartition], charge: Charge) -> list[Multipartition]:
+    """Sort by the gamma sequence, lexicographically descending.
 
     This is the deterministic total order used for matrix rows and columns:
     it refines the dominance order (a Greater comparison always sorts
     first), and puts incomparable pairs in a fixed, reproducible place.
     """
-    return sorted(mps, key=lambda m: gamma_sequence(m, charge, pad), reverse=reverse)
+    return sorted(mps, key=lambda m: gamma_sequence(m, charge), reverse=True)
 
 
 def enumerate_multipartitions(
-    level: int, n: int, charge: Optional[Charge] = None, pad: int = 0
+    level: int, n: int, charge: Optional[Charge] = None
 ) -> list[Multipartition]:
     """All level-l multipartitions of rank n, in descending gamma-lex order.
 
@@ -400,7 +393,7 @@ def enumerate_multipartitions(
     for sizes in _compositions(n, level):
         for combo in product(*(partitions(k) for k in sizes)):
             out.append(tuple(combo))
-    return gamma_lex_sorted(out, charge, pad)
+    return gamma_lex_sorted(out, charge)
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -178,9 +178,7 @@ def basis_matrix(basis: CanonicalBasisSet) -> PolyMatrix:
     Rows run over the basis's rank layer (descending gamma order at the
     basis charge), columns over the basis labels in their stored order.
     Each vector's entries go to the rows at their positions, column by
-    column, so every row's cells come out in column order.  The row order
-    does not depend on a gamma pad: padding appends the same entries to
-    every sequence of the layer.
+    column, so every row's cells come out in column order.
     """
     cols = basis.labels
     rows: list[list[tuple[int, LaurentPoly]]] = [[] for _ in basis.layer]

@@ -48,7 +48,7 @@ from .combinatorics import (
     addable_nodes,
     content,
     format_multipartition,
-    gamma_sequence,
+    gamma_lex_sorted,
     i_nodes,
     node_key,
     remove_node,
@@ -103,11 +103,7 @@ class FockVector:
 
     def support(self) -> list[Multipartition]:
         """Support sorted by descending gamma sequence at this charge."""
-        return sorted(
-            self.entries,
-            key=lambda m: gamma_sequence(m, self.charge),
-            reverse=True,
-        )
+        return gamma_lex_sorted(self.entries, self.charge)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -288,8 +288,6 @@ def test_acceptance_8_order_sanity(capsys):
         for a, b in combinations(mps, 2):
             assert rel[a, b] is not Ordering.EQUAL  # irreflexive strict part
             assert rel[b, a] is flipped[rel[a, b]]  # antisymmetric
-            for pad in (1, 2, 5):
-                assert compare_dominance(a, b, charge, pad) is rel[a, b]
         for a in mps:
             for b in mps:
                 for c in mps:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockdec.canonical
 from fockdec.canonical import (
     CanonicalBasisSet,
+    InvariantViolated,
     MissingPredecessor,
     PeelingUnitriangularityViolated,
     apply_peeling,
@@ -263,6 +265,19 @@ def test_brute_force_agreement_small():
                 assert set(bf) == set(cb.labels)
                 for lam in cb.labels:
                     assert cb.vectors[lam] == bf[lam]
+
+
+def test_brute_force_checks_hold_without_asserts(monkeypatch):
+    # doubled monomial vectors leave 2 on the diagonal; the check must raise
+    # a real exception, so it still runs under python -O
+    apply = fockdec.canonical.apply_peelings
+
+    def doubled(seqs, e, charge):
+        return [x.scale(LaurentPoly(0, (2,))) for x in apply(seqs, e, charge)]
+
+    monkeypatch.setattr(fockdec.canonical, "apply_peelings", doubled)
+    with pytest.raises(InvariantViolated):
+        brute_force_basis(2, (0,), 2)
 
 
 def test_nontrivial_correction_regression():

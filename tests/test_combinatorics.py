@@ -183,14 +183,21 @@ def test_addable_removable_fixtures():
 
 def test_gamma_sequence_fixtures():
     assert gamma_sequence(((), ()), (0, 0)) == ()
-    assert gamma_sequence(mp("2|1.1"), (0, 1)) == (2, 1, -1, -7, -8, -10, -11, -13, -14)
-    assert gamma_sequence(mp("2|1.1"), (0, 1), pad=2) == (
-        2, 1, -1, -7, -8, -10, -11, -13, -14, -16, -17, -19, -20,
-    )
+    assert gamma_sequence(mp("2|1.1"), (0, 1)) == (2, 1, -1, -7, -8, -10, -11, -14)
+    assert gamma_sequence(mp("2|1.1"), (5, -3)) == (16, 7, 4, 1, -10, -13, -19, -22)
     with pytest.raises(ValueError):
         gamma_sequence(mp("2|1.1"), (0,))
-    with pytest.raises(ValueError):
-        gamma_sequence(mp("2"), (0,), pad=-1)
+
+
+def test_gamma_sequence_is_cut_at_the_rank_whatever_the_charge():
+    # a deeper cut would make the sequence a million entries longer
+    for text, charge in [
+        ("2.1", (10**6,)),
+        ("2.1|1", (10**6, 0)),
+        ("1|-|3", (0, -(10**6), 10**6)),
+    ]:
+        lam = mp(text)
+        assert len(gamma_sequence(lam, charge)) == len(charge) * rank(lam)
 
 
 def test_compare_dominance_fixtures():
@@ -202,11 +209,11 @@ def test_compare_dominance_fixtures():
         compare_dominance(mp("3"), mp("2"), (0,))
 
 
-def _running_difference_order(a, b, charge):
-    """Dominance by the running difference of the two gamma sequences."""
+def _running_difference_order(xs, ys):
+    """Dominance by the running difference of two gamma sequences."""
     ge = le = True
     run = 0
-    for xa, xb in zip(gamma_sequence(a, charge), gamma_sequence(b, charge)):
+    for xa, xb in zip(xs, ys):
         run += xa - xb
         ge, le = ge and run >= 0, le and run <= 0
     if ge and le:
@@ -228,7 +235,7 @@ def equal_rank_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_prefix_sum_rule_is_the_dominance_order(case):
     charge, a, b = case
-    want = _running_difference_order(a, b, charge)
+    want = _running_difference_order(gamma_sequence(a, charge), gamma_sequence(b, charge))
     keys = gamma_prefix_sums(a, charge), gamma_prefix_sums(b, charge)
     assert compare_prefix_sums(*keys) is want
     assert compare_dominance(a, b, charge) is want
@@ -270,23 +277,37 @@ def test_order_axioms_exhaustive():
                         assert rel[a, c] is Ordering.GREATER
 
 
-def test_order_is_pad_invariant():
-    charge = (0, 1)
-    mps = enumerate_multipartitions(2, 3, charge)
-    for a, b in combinations(mps, 2):
-        base = compare_dominance(a, b, charge)
-        for pad in (1, 3, 7):
-            assert compare_dominance(a, b, charge, pad) is base
+def _deep_gamma_sequence(lam, charge, extra):
+    """gamma_sequence cut at rank + max(charge[i], 0) + extra, not at the rank."""
+    n, scale = rank(lam), len(lam) + 1
+    out = []
+    for i, (part, s) in enumerate(zip(lam, charge), start=1):
+        for j in range(1, n + max(s, 0) + extra + 1):
+            pj = part[j - 1] if j <= len(part) else 0
+            out.append(scale * (pj - j + s) - (scale - i))
+    return sorted(out, reverse=True)
 
 
-def test_gamma_lex_order_is_pad_invariant():
-    # padding appends the same entries to every sequence of a rank layer,
-    # so the matrix row order can be taken at pad 0
-    for level, charge in [(1, (0,)), (2, (0, 1)), (2, (2, -1)), (3, (1, -1, 2))]:
-        for n in range(5):
-            mps = enumerate_multipartitions(level, n, charge)
-            for pad in (1, 3):
-                assert enumerate_multipartitions(level, n, charge, pad) == mps
+@st.composite
+def deep_cut_cases(draw):
+    """(charge, extra, layer, a, b): level 1-3, charges up to 40, a and b in layer."""
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-6, 40), min_size=level, max_size=level)))
+    n = draw(st.integers(0, 5 if level < 3 else 4))
+    layer = enumerate_multipartitions(level, n, charge)
+    a, b = draw(st.sampled_from(layer)), draw(st.sampled_from(layer))
+    return charge, draw(st.integers(0, 7)), layer, a, b
+
+
+@given(deep_cut_cases())
+@settings(max_examples=200, deadline=None)
+def test_rank_cut_matches_deeper_cuts(case):
+    # entries past the rank are shared by the whole layer, so a sequence
+    # cut deeper orders the layer the same way as one cut at the rank
+    charge, extra, layer, a, b = case
+    deep = {lam: _deep_gamma_sequence(lam, charge, extra) for lam in layer}
+    assert compare_dominance(a, b, charge) is _running_difference_order(deep[a], deep[b])
+    assert sorted(layer, key=deep.__getitem__, reverse=True) == layer
 
 
 def test_gamma_lex_refines_dominance():
@@ -302,7 +323,6 @@ def test_gamma_lex_sorted_is_deterministic():
     charge = (0, 0)
     mps = enumerate_multipartitions(2, 3, charge)
     assert gamma_lex_sorted(list(reversed(mps)), charge) == mps
-    assert gamma_lex_sorted(mps, charge, reverse=False) == list(reversed(mps))
 
 
 def test_enumeration_fixtures():

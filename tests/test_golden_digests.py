@@ -74,13 +74,13 @@ CASES = [
     ("abacus --multipartition 1.1|1.1|1 --charge 0,0,-1 --e 2 --r 7", 0, "26d390cd81c5b0cd"),
     ("abacus --multipartition 2|-|1.1 --charge 1,0,2 --e 4 --stable-for 2 --format json", 0, "9a2d7069af7fc8d4"),
     ("abacus --multipartition 3|2 --charge 0,0 --e 2 --stable-for 3", 0, "8df81b5fa4387959"),
-    # order: both formats, with and without charge and pad
+    # order: both formats, with and without charge
     ("order --left 3 --right 2.1", 0, "8d7ba4205d56ad93"),
     ("order --left 2|1 --right 1|2 --format json", 0, "fab995fe9843a93e"),
     ("order --left 2.1 --right 3 --charge 1", 0, "7a5c6f962dd8fb0a"),
     ("order --left 4.1.1 --right 3.3 --format json", 0, "973f8013ef3d09a4"),
     ("order --left 2|1|- --right 1|1|1 --charge 0,1,2 --format json", 0, "12b5f3717a0a46fe"),
-    ("order --left 3|1 --right 2|2 --charge 0,0 --pad 3", 0, "8d7ba4205d56ad93"),
+    ("order --left 3|1 --right 2|2 --charge 0,0", 0, "8d7ba4205d56ad93"),
     # documented failures: usage (2), guard and bead cut (3)
     ("factorize --e inf --charge 0,0 --rank 3", 2, "e3b0c44298fc1c14"),
     ("canonical --e 2 --charge 0,0 --rank 4 --format dot", 2, "e3b0c44298fc1c14"),
@@ -89,6 +89,7 @@ CASES = [
     ("factorize --e 2 --charge 0,0 --rank 5 --guard 4", 3, "e3b0c44298fc1c14"),
     ("abacus --multipartition 3.1 --charge 0 --e 2 --r 1", 3, "e3b0c44298fc1c14"),
     ("order --left 3 --right 2|1", 2, "e3b0c44298fc1c14"),
+    ("order --left 3|1 --right 2|2 --charge 0,0 --pad 3", 2, "e3b0c44298fc1c14"),
 ]
 
 
