@@ -299,14 +299,24 @@ def deep_cut_cases(draw):
     return charge, draw(st.integers(0, 7)), layer, a, b
 
 
+# Entries past the rank are shared by the whole layer, so sequences padded
+# with deeper entries order the layer the same way as ones cut at the rank.
+
+
 @given(deep_cut_cases())
 @settings(max_examples=200, deadline=None)
-def test_rank_cut_matches_deeper_cuts(case):
-    # entries past the rank are shared by the whole layer, so a sequence
-    # cut deeper orders the layer the same way as one cut at the rank
-    charge, extra, layer, a, b = case
+def test_order_is_pad_invariant(case):
+    charge, extra, _, a, b = case
+    deep_a = _deep_gamma_sequence(a, charge, extra)
+    deep_b = _deep_gamma_sequence(b, charge, extra)
+    assert compare_dominance(a, b, charge) is _running_difference_order(deep_a, deep_b)
+
+
+@given(deep_cut_cases())
+@settings(max_examples=200, deadline=None)
+def test_gamma_lex_order_is_pad_invariant(case):
+    charge, extra, layer, _, _ = case
     deep = {lam: _deep_gamma_sequence(lam, charge, extra) for lam in layer}
-    assert compare_dominance(a, b, charge) is _running_difference_order(deep[a], deep[b])
     assert sorted(layer, key=deep.__getitem__, reverse=True) == layer
 
 
