@@ -24,7 +24,7 @@ carries the smallest admissible r.
 from __future__ import annotations
 
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .combinatorics import Charge, Multipartition
 

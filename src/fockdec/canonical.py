@@ -58,7 +58,6 @@ from .combinatorics import (
     residue,
 )
 from .crystal import (
-    CrystalGraph,
     NotInCrystal,
     epsilon,
     generate_component,
@@ -258,18 +257,15 @@ def _reduce(
             )
 
 
-def canonical_basis(
-    e: Optional[int], charge: Charge, n: int, graph: Optional[CrystalGraph] = None
-) -> CanonicalBasisSet:
+def canonical_basis(e: Optional[int], charge: Charge, n: int) -> CanonicalBasisSet:
     """The canonical basis vectors labeled by rank-n crystal vertices.
 
-    Peeling words are read off the graph (generated here when not given).
+    Peeling words are read off the crystal graph generated here.
     Vertices are processed in ascending gamma order; when a peeling
     monomial carries a gamma-greater vertex, that vertex's basis vector is
     built first, recursively.
     """
-    if graph is None:
-        graph = generate_component(e, charge, n)
+    graph = generate_component(e, charge, n)
     layer = tuple(enumerate_multipartitions(len(charge), n, charge))
     position = {mp: k for k, mp in enumerate(layer)}
     verts_desc = list(graph.vertices(n))

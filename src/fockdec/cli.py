@@ -9,6 +9,14 @@ Subcommands
   abacus     bead labels and reading sequences of a charged multipartition
   order      dominance relation between two multipartitions
 
+``COMMANDS`` maps each subcommand to its handler and the formats it
+writes; ``--format`` help is written from it.  Before a handler runs, the
+shared checks run once, in this order: ``factorize`` needs a finite
+``--e`` (exit 2), then the format must be one the command writes (exit
+2), then the rank guard of ``crystal``, ``canonical`` and ``factorize``
+(exit 3).  The handler then makes its own input checks, so a usage error
+is reported before a tripped guard.
+
 Exit codes: 0 success (factorize: all checks pass), 1 a verification
 check failed or an internal consistency check raised (one line on stderr,
 ``fockdec: <ExceptionName>: <message>``), 2 usage error, 3 a size guard
@@ -23,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
 from .canonical import (
@@ -37,7 +45,6 @@ from .combinatorics import (
     Charge,
     Multipartition,
     compare_dominance,
-    format_charge,
     format_multipartition,
     parse_charge,
     parse_multipartition,
@@ -59,7 +66,7 @@ from .factorize import (
 from .laurent import DivisionNotExact
 
 __all__ = [
-    "RunConfig",
+    "COMMANDS",
     "cmd_crystal",
     "cmd_canonical",
     "cmd_factorize",
@@ -80,16 +87,6 @@ INTERNAL_FAILURES = (
     NotInBInfinity,
     DivisionNotExact,
 )
-
-
-class RunConfig(NamedTuple):
-    """Everything a matrix-producing subcommand needs."""
-
-    e: Optional[int]  # None means no modulus
-    charge: Charge
-    rank: int
-    format: str
-    guard: int
 
 
 def _out(text: str) -> None:
@@ -120,31 +117,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _guard_tripped(cfg: RunConfig) -> bool:
-    return cfg.rank > cfg.guard
-
-
-def _guard_message(cfg: RunConfig) -> str:
-    return (
-        f"rank {cfg.rank} exceeds the guard {cfg.guard}; "
-        "raise --guard to confirm a computation this large"
-    )
-
-
-def _e_text(e: Optional[int]) -> str:
-    return "inf" if e is None else str(e)
-
-
-def cmd_crystal(cfg: RunConfig) -> int:
+def cmd_crystal(args: argparse.Namespace) -> int:
     """Emit the crystal component in dot, json, or text form."""
-    if cfg.format not in ("json", "dot", "text"):
-        return _fail(f"crystal cannot be written as {cfg.format}", 2)
-    if _guard_tripped(cfg):
-        return _fail(_guard_message(cfg), 3)
-    graph = generate_component(cfg.e, cfg.charge, cfg.rank)
-    if cfg.format == "json":
+    graph = generate_component(args.e, args.charge, args.rank)
+    if args.format == "json":
         _out(json.dumps(graph.to_json_obj(), indent=2))
-    elif cfg.format == "dot":
+    elif args.format == "dot":
         _out(graph.to_dot())
     else:
         lines = []
@@ -162,53 +140,49 @@ def cmd_crystal(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_canonical(cfg: RunConfig) -> int:
+# the non-JSON layouts of one matrix
+_MATRIX_RENDERERS = {
+    "csv": matrix_to_csv,
+    "latex": matrix_to_latex,
+    "text": matrix_to_text,
+}
+
+
+def cmd_canonical(args: argparse.Namespace) -> int:
     """Emit the canonical-basis coefficient matrix."""
-    if cfg.format not in ("json", "csv", "latex", "text"):
-        return _fail(f"canonical cannot be written as {cfg.format}", 2)
-    if _guard_tripped(cfg):
-        return _fail(_guard_message(cfg), 3)
-    basis = canonical_basis(cfg.e, cfg.charge, cfg.rank)
-    m = basis_matrix(basis)
-    if cfg.format == "json":
-        _out_json(
-            {"e": _e_text(cfg.e), "charge": list(cfg.charge), "rank": cfg.rank, "matrix": m}
-        )
-    elif cfg.format == "csv":
-        sys.stdout.write(matrix_to_csv(m))
-    elif cfg.format == "latex":
-        _out(matrix_to_latex(m))
+    m = basis_matrix(canonical_basis(args.e, args.charge, args.rank))
+    if args.format == "json":
+        e = "inf" if args.e is None else str(args.e)
+        _out_json({"e": e, "charge": list(args.charge), "rank": args.rank, "matrix": m})
     else:
-        _out(matrix_to_text(m))
+        _out(_MATRIX_RENDERERS[args.format](m))
     return 0
 
 
-def cmd_factorize(cfg: RunConfig) -> int:
+def cmd_factorize(args: argparse.Namespace) -> int:
     """Emit both basis matrices, the relative matrix, and the report."""
-    if cfg.e is None:
-        return _fail("factorize needs a finite --e", 2)
-    if cfg.format not in ("json", "csv", "latex", "text"):
-        return _fail(f"factorize cannot be written as {cfg.format}", 2)
-    if _guard_tripped(cfg):
-        return _fail(_guard_message(cfg), 3)
-    ge = canonical_basis(cfg.e, cfg.charge, cfg.rank)
-    ginf = canonical_basis(None, cfg.charge, cfg.rank)
+    ge = canonical_basis(args.e, args.charge, args.rank)
+    ginf = canonical_basis(None, args.charge, args.rank)
     de = basis_matrix(ge)
     dinf = basis_matrix(ginf)
     try:
         drel = extract_relative(ge, ginf)
     except NonTermination as exc:
         return _fail(str(exc), 3)
-    report = verify(de, dinf, drel, cfg.charge)
+    report = verify(de, dinf, drel, args.charge)
     ok = all_pass(report)
 
-    e_name = f"e={cfg.e}"
-    if cfg.format == "json":
+    sections = [
+        (f"basis matrix (e={args.e})", de),
+        ("basis matrix (e=inf)", dinf),
+        ("relative matrix", drel),
+    ]
+    if args.format == "json":
         _out_json(
             {
-                "e": cfg.e,
-                "charge": list(cfg.charge),
-                "rank": cfg.rank,
+                "e": args.e,
+                "charge": list(args.charge),
+                "rank": args.rank,
                 "basis_e": de,
                 "basis_inf": dinf,
                 "relative": drel,
@@ -216,46 +190,26 @@ def cmd_factorize(cfg: RunConfig) -> int:
                 "all_pass": ok,
             }
         )
-    elif cfg.format == "csv":
-        parts = [
-            f"# basis matrix ({e_name})\n",
-            matrix_to_csv(de),
-            "# basis matrix (e=inf)\n",
-            matrix_to_csv(dinf),
-            "# relative matrix\n",
-            matrix_to_csv(drel),
-            "# verification\n",
-        ]
+    elif args.format == "csv":
+        parts = []
+        for title, m in sections:
+            parts += [f"# {title}\n", matrix_to_csv(m)]
+        parts.append("# verification\n")
         for item in report:
             parts.append(f"# {item['check']},{'pass' if item['pass'] else 'FAIL'}\n")
         sys.stdout.write("".join(parts))
-    elif cfg.format == "latex":
-        blocks = [
-            f"% basis matrix ({e_name})",
-            matrix_to_latex(de),
-            "% basis matrix (e=inf)",
-            matrix_to_latex(dinf),
-            "% relative matrix",
-            matrix_to_latex(drel),
-        ]
+    elif args.format == "latex":
+        blocks = []
+        for title, m in sections:
+            blocks += [f"% {title}", matrix_to_latex(m)]
         for item in report:
-            blocks.append(
-                f"% {item['check']}: {'pass' if item['pass'] else 'FAIL'}"
-            )
+            blocks.append(f"% {item['check']}: {'pass' if item['pass'] else 'FAIL'}")
         _out("\n".join(blocks))
     else:
-        blocks = [
-            f"== basis matrix ({e_name}) ==",
-            matrix_to_text(de),
-            "",
-            "== basis matrix (e=inf) ==",
-            matrix_to_text(dinf),
-            "",
-            "== relative matrix ==",
-            matrix_to_text(drel),
-            "",
-            "== verification ==",
-        ]
+        blocks = []
+        for title, m in sections:
+            blocks += [f"== {title} ==", matrix_to_text(m), ""]
+        blocks.append("== verification ==")
         for item in report:
             status = "PASS" if item["pass"] else "FAIL"
             blocks.append(f"{item['check']}: {status} ({item['detail']})")
@@ -264,32 +218,22 @@ def cmd_factorize(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_abacus(
-    mp: Multipartition,
-    charge: Charge,
-    e: int,
-    r: Optional[int],
-    stable_for: Optional[int],
-    fmt: str,
-) -> int:
+def cmd_abacus(args: argparse.Namespace) -> int:
     """Emit the bead labels, reading sequences, and drawing."""
-    if fmt not in ("json", "text"):
-        return _fail(f"abacus cannot be written as {fmt}", 2)
+    mp, charge, e = args.multipartition, args.charge, args.e
     if len(mp) != len(charge):
         return _fail(
             f"level {len(mp)} multipartition with level {len(charge)} charge", 2
         )
-    if (r is None) == (stable_for is None):
+    if (args.r is None) == (args.stable_for is None):
         return _fail("give exactly one of --r and --stable-for", 2)
-    if stable_for is not None:
-        r = stable_r(mp, charge, e, stable_for)
-    assert r is not None
+    r = args.r if args.stable_for is None else stable_r(mp, charge, e, args.stable_for)
     try:
         ks = tau_inverse(mp, charge, e, r)
     except RTooSmall as exc:
         return _fail(f"{exc} (use --r {exc.suggested} or more)", 3)
     data = reading_word(ks, e, len(charge))
-    if fmt == "json":
+    if args.format == "json":
         obj = {"r": r, **data.to_json_obj()}
         _out(json.dumps(obj, indent=2))
     else:
@@ -308,15 +252,9 @@ def cmd_abacus(
     return 0
 
 
-def cmd_order(
-    left: Multipartition,
-    right: Multipartition,
-    charge: Optional[Charge],
-    fmt: str,
-) -> int:
+def cmd_order(args: argparse.Namespace) -> int:
     """Emit the dominance relation between two multipartitions."""
-    if fmt not in ("json", "text"):
-        return _fail(f"order cannot be written as {fmt}", 2)
+    left, right, charge = args.left, args.right, args.charge
     if len(left) != len(right):
         return _fail(
             f"levels differ: {len(left)} vs {len(right)}", 2
@@ -331,7 +269,7 @@ def cmd_order(
         rel = compare_dominance(left, right, charge)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    if fmt == "json":
+    if args.format == "json":
         _out(
             json.dumps(
                 {
@@ -346,6 +284,16 @@ def cmd_order(
     else:
         _out(rel.value)
     return 0
+
+
+# command name -> (handler, the formats it writes, in --help order)
+COMMANDS = {
+    "crystal": (cmd_crystal, ("json", "dot", "text")),
+    "canonical": (cmd_canonical, ("json", "csv", "latex", "text")),
+    "factorize": (cmd_factorize, ("json", "csv", "latex", "text")),
+    "abacus": (cmd_abacus, ("json", "text")),
+    "order": (cmd_order, ("json", "text")),
+}
 
 
 def _e_value(text: str) -> Optional[int]:
@@ -407,14 +355,19 @@ def _positive_value(text: str) -> int:
     return value
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, formats: str) -> None:
+def _add_format_flag(sub: argparse.ArgumentParser, command: str) -> None:
+    formats = ", ".join(COMMANDS[command][1])
+    sub.add_argument("--format", default="text", help=f"one of: {formats}")
+
+
+def _add_run_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--e", type=_e_value, required=True,
                      help="modulus >= 2, or 'inf' for none")
     sub.add_argument("--charge", type=_charge_value, required=True,
                      help="comma-separated charge, e.g. 0,0 or 0,-1")
     sub.add_argument("--rank", type=_nonneg_value, required=True,
                      help="total number of boxes")
-    sub.add_argument("--format", default="text", help=f"one of: {formats}")
+    _add_format_flag(sub, command)
     sub.add_argument("--guard", type=_nonneg_value, default=GUARD_DEFAULT,
                      help=f"refuse ranks above this bound (default {GUARD_DEFAULT})")
 
@@ -428,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("crystal", help="connected crystal component")
-    _add_run_flags(p, "json, dot, text")
+    _add_run_flags(p, "crystal")
 
     p = sub.add_parser("canonical", help="canonical-basis matrix")
-    _add_run_flags(p, "json, csv, latex, text")
+    _add_run_flags(p, "canonical")
 
     p = sub.add_parser("factorize", help="factorized matrices plus checks")
-    _add_run_flags(p, "json, csv, latex, text")
+    _add_run_flags(p, "factorize")
 
     p = sub.add_parser("abacus", help="bead labels and reading sequences")
     p.add_argument("--multipartition", type=_mp_value, required=True,
@@ -447,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stable-for", type=_finite_e_value, default=None,
                    dest="stable_for",
                    help="second period; picks the least cut faithful for both")
-    p.add_argument("--format", default="text", help="one of: json, text")
+    _add_format_flag(p, "abacus")
 
     p = sub.add_parser("order", help="dominance relation of two multipartitions")
     p.add_argument("--left", type=_mp_value, required=True,
                    help="first multipartition")
     p.add_argument("--right", type=_mp_value, required=True)
     p.add_argument("--charge", type=_charge_value, default=None)
-    p.add_argument("--format", default="text", help="one of: json, text")
+    _add_format_flag(p, "order")
 
     return parser
 
@@ -512,32 +465,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in ("crystal", "canonical", "factorize"):
-        cfg = RunConfig(
-            e=args.e,
-            charge=args.charge,
-            rank=args.rank,
-            format=args.format,
-            guard=args.guard,
+    handler, formats = COMMANDS[args.command]
+    if args.command == "factorize" and args.e is None:
+        return _fail("factorize needs a finite --e", 2)
+    if args.format not in formats:
+        return _fail(f"{args.command} cannot be written as {args.format}", 2)
+    # only crystal, canonical and factorize take --guard
+    if "guard" in args and args.rank > args.guard:
+        return _fail(
+            f"rank {args.rank} exceeds the guard {args.guard}; "
+            "raise --guard to confirm a computation this large",
+            3,
         )
-        handler = {
-            "crystal": cmd_crystal,
-            "canonical": cmd_canonical,
-            "factorize": cmd_factorize,
-        }[args.command]
-        return handler(cfg)
-    if args.command == "abacus":
-        return cmd_abacus(
-            args.multipartition,
-            args.charge,
-            args.e,
-            args.r,
-            args.stable_for,
-            args.format,
-        )
-    if args.command == "order":
-        return cmd_order(args.left, args.right, args.charge, args.format)
-    return _fail(f"unknown command {args.command!r}", 2)
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -88,9 +88,9 @@ def test_graph_words_are_the_signature_words():
 
 def test_canonical_basis_keeps_the_graph_words():
     for e in (2, None):
-        graph = generate_component(e, (0, 1), 5)
-        cb = canonical_basis(e, (0, 1), 5, graph)
-        assert cb.peelings == {lam: graph.peeling_words[lam] for lam in cb.labels}
+        words = generate_component(e, (0, 1), 5).peeling_words
+        cb = canonical_basis(e, (0, 1), 5)
+        assert cb.peelings == {lam: words[lam] for lam in cb.labels}
 
 
 def test_peeling_monomials_first_leave_triangularity_at_rank_9():

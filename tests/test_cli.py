@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -341,6 +342,32 @@ def test_crystal_outputs(capsys):
         "--format", "dot",
     )
     assert rc == 0 and out.startswith("digraph crystal {")
+
+
+# one small valid input per command, without --format
+SMALL_INPUTS = {
+    "crystal": ["--e", "2", "--charge", "0,0", "--rank", "2"],
+    "canonical": ["--e", "2", "--charge", "0,0", "--rank", "2"],
+    "factorize": ["--e", "2", "--charge", "0,0", "--rank", "2"],
+    "abacus": ["--multipartition", "2.1|1", "--charge", "0,1", "--e", "3", "--r", "8"],
+    "order": ["--left", "3", "--right", "2.1"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SMALL_INPUTS))
+def test_help_names_exactly_the_formats_that_work(capsys, cmd):
+    assert main([cmd, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    named = re.search(r"one of: ((?:\w+, )*\w+)", help_text).group(1).split(", ")
+    working = []
+    for fmt in ("json", "csv", "latex", "text", "dot", "yaml", "JSON"):
+        rc, out, err = run(capsys, cmd, *SMALL_INPUTS[cmd], "--format", fmt)
+        assert rc in (0, 2), (fmt, rc, err)
+        if rc == 0:
+            working.append(fmt)
+        else:
+            assert out == "" and err == f"fockdec: {cmd} cannot be written as {fmt}\n"
+    assert sorted(named) == sorted(working)
 
 
 def test_missing_subcommand_exits_two(capsys):

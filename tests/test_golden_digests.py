@@ -5,7 +5,8 @@ digits of the sha256 of its stdout.  Together they cover all five
 commands, every output format, levels 1-3, e in {2, 3, 4, inf}, dominant
 and non-dominant charges, and e=2, charge (0,0), rank 9, where a peeling
 monomial first has a term gamma-greater than its vertex.  A change that
-moves any output byte of these calls fails here.
+moves any output byte of these calls fails here.  Each failing case also
+pins the one line fockdec writes to stderr.
 
 To print the table for the current code (for example after a deliberate
 output change), run ``PYTHONPATH=src python tests/test_golden_digests.py``.
@@ -90,22 +91,60 @@ CASES = [
     ("abacus --multipartition 3.1 --charge 0 --e 2 --r 1", 3, "e3b0c44298fc1c14"),
     ("order --left 3 --right 2|1", 2, "e3b0c44298fc1c14"),
     ("order --left 3|1 --right 2|2 --charge 0,0 --pad 3", 2, "e3b0c44298fc1c14"),
+    # two faults at once: the one checked first is reported
+    ("factorize --e inf --charge 0,0 --rank 13 --format dot", 2, "e3b0c44298fc1c14"),
+    ("crystal --e 2 --charge 0,0 --rank 13 --format csv", 2, "e3b0c44298fc1c14"),
 ]
 
+# the one stderr line fockdec writes for each failing case; None where
+# argparse reports the error, since its usage text differs across Python
+# versions
+STDERR = {
+    "factorize --e inf --charge 0,0 --rank 3": "fockdec: factorize needs a finite --e",
+    "canonical --e 2 --charge 0,0 --rank 4 --format dot":
+        "fockdec: canonical cannot be written as dot",
+    "crystal --e 2 --charge 0,0 --rank 4 --format csv":
+        "fockdec: crystal cannot be written as csv",
+    "canonical --e 2 --charge 0,0 --rank 13":
+        "fockdec: rank 13 exceeds the guard 12; raise --guard to confirm a computation this large",
+    "factorize --e 2 --charge 0,0 --rank 5 --guard 4":
+        "fockdec: rank 5 exceeds the guard 4; raise --guard to confirm a computation this large",
+    "abacus --multipartition 3.1 --charge 0 --e 2 --r 1":
+        "fockdec: r=1 is too small; the least valid choice is 3 (use --r 3 or more)",
+    "order --left 3 --right 2|1": "fockdec: levels differ: 1 vs 2",
+    "order --left 3|1 --right 2|2 --charge 0,0 --pad 3": None,
+    "factorize --e inf --charge 0,0 --rank 13 --format dot":
+        "fockdec: factorize needs a finite --e",
+    "crystal --e 2 --charge 0,0 --rank 13 --format csv":
+        "fockdec: crystal cannot be written as csv",
+}
+FAILURES = [(argv, rc) for argv, rc, _ in CASES if rc != 0]
 
-def _digest(argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+
+def _run(argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv.split())
-    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], err.getvalue()
 
 
 @pytest.mark.parametrize("argv, rc, digest", CASES, ids=[c[0] for c in CASES])
 def test_stdout_digest(argv, rc, digest):
-    assert _digest(argv) == (rc, digest)
+    assert _run(argv)[:2] == (rc, digest)
+
+
+@pytest.mark.parametrize("argv, rc", FAILURES, ids=[c[0] for c in FAILURES])
+def test_stderr_line(argv, rc):
+    got_rc, _, err = _run(argv)
+    assert got_rc == rc
+    if STDERR[argv] is not None:
+        assert err == STDERR[argv] + "\n"
 
 
 if __name__ == "__main__":
-    for argv, _, _ in CASES:
-        rc, digest = _digest(argv)
+    runs = [(argv, *_run(argv)) for argv, _, _ in CASES]
+    for argv, rc, digest, _ in runs:
         print(f'    ("{argv}", {rc}, "{digest}"),')
+    for argv, rc, _, err in runs:
+        if rc != 0:
+            print(f'    "{argv}": {err.rstrip()!r},')
