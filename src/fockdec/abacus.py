@@ -197,17 +197,8 @@ class AbacusData(NamedTuple):
 
     def to_json_obj(self) -> dict:
         return {
-            "e": self.e,
-            "l": self.l,
-            "k": list(self.k),
-            "w": list(self.w),
-            "c": list(self.c),
-            "d": list(self.d),
-            "m": list(self.m),
-            "phi": list(self.phi),
-            "a": list(self.a),
-            "b": list(self.b),
-            "zeta": list(self.zeta),
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in self._asdict().items()
         }
 
 

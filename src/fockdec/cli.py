@@ -63,7 +63,6 @@ from .factorize import (
     matrix_to_text,
     verify,
 )
-from .laurent import DivisionNotExact
 
 __all__ = [
     "COMMANDS",
@@ -85,7 +84,6 @@ INTERNAL_FAILURES = (
     MissingPredecessor,
     InvariantViolated,
     NotInBInfinity,
-    DivisionNotExact,
 )
 
 

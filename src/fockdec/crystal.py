@@ -155,8 +155,10 @@ class CrystalGraph:
     """A component generated from the empty multipartition, rank by rank.
 
     ``layers[n]`` lists the rank-n vertices in descending gamma order;
-    ``edges`` maps (vertex, residue) to the vertex above it.  Immutable;
-    cached views go straight into the instance dict.
+    ``edges`` maps (vertex, residue) to the vertex above it, ordered by
+    source in layer order, then by ascending residue (generate_component
+    inserts them so); to_json_obj and to_dot list them in that order.
+    Immutable; cached views go straight into the instance dict.
     """
 
     e: Optional[int]
@@ -212,18 +214,6 @@ class CrystalGraph:
                 words[mp] = ((i, u),) + words[cur]
         return words
 
-    def _listed_edges(self) -> list[tuple[Multipartition, int, Multipartition]]:
-        """(source, residue, target) by source in layer order, then residue."""
-        by_source: dict[Multipartition, list[tuple[int, Multipartition]]] = {}
-        for (src, i), dst in self.edges.items():
-            by_source.setdefault(src, []).append((i, dst))
-        return [
-            (src, i, dst)
-            for layer in self.layers
-            for src in layer
-            for i, dst in sorted(by_source.get(src, ()), key=lambda t: t[0])
-        ]
-
     def to_json_obj(self) -> dict:
         return {
             "e": "inf" if self.e is None else self.e,
@@ -238,7 +228,7 @@ class CrystalGraph:
                     "target": format_multipartition(dst),
                     "residue": i,
                 }
-                for src, i, dst in self._listed_edges()
+                for (src, i), dst in self.edges.items()
             ],
         }
 
@@ -247,7 +237,7 @@ class CrystalGraph:
         for layer in self.layers:
             for mp in layer:
                 lines.append(f'  "{format_multipartition(mp)}";')
-        for src, i, dst in self._listed_edges():
+        for (src, i), dst in self.edges.items():
             lines.append(
                 f'  "{format_multipartition(src)}" -> '
                 f'"{format_multipartition(dst)}" [label="{i}"];'

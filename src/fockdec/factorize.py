@@ -3,7 +3,7 @@
 The matrix of a canonical basis set has one row per rank-n multipartition
 (descending gamma order) and one column per basis vector.  A PolyMatrix
 stores only the nonzero cells of each row, in column order; the dense
-table is a view for the renderers that walk every cell.  The finite-e
+table is a view kept for the reference routes and the tests.  The finite-e
 matrix factors through the no-modulus one: column by column, repeatedly
 strip the greatest remaining support term by subtracting that multiple of
 the corresponding no-modulus basis vector; the multiples assemble into the
@@ -12,13 +12,12 @@ v*Z[v] and nonnegative coefficients.  verify() rechecks all of that from
 the nonzero cells of the finished matrices, including the v=1
 specialization.
 
-JSON rendering: matrix_to_json_obj() is the documented structure
-(row_labels, col_labels, and entries as [exponent, coefficient] pairs).
-append_matrix_json() writes its text directly and is byte-identical to
-json.dumps(matrix_to_json_obj(m), indent=2) nested ``depth`` levels deep,
-i.e. with every newline followed by 2*depth more spaces.  Each row starts
-as a copy of an all-empty row, and each distinct nonzero cell is
-formatted once per matrix.
+Rendering: all four formats walk the nonzero cells (_cell_texts) and
+format each distinct cell once per matrix.  matrix_to_json_obj() is the
+documented JSON structure (row_labels, col_labels, and entries as
+[exponent, coefficient] pairs); append_matrix_json() writes its text
+directly, byte-identical to json.dumps(matrix_to_json_obj(m), indent=2)
+nested ``depth`` levels deep (every newline followed by 2*depth more spaces).
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class PolyMatrix:
     ``row_nonzeros[i]`` holds row i's (column index, entry) pairs in
     ascending column order, with no zero entry.  ``entries``, the dense
     row-major table with ZERO in every empty cell, and the label->index
-    maps are views built on first use and cached, so a matrix that is only
-    built, checked and written as JSON never pays for them.  Immutable.
+    maps are views built on first use and cached; no command reads
+    ``entries``, which serves the reference routes and the tests.  Immutable.
     """
 
     row_labels: tuple[Multipartition, ...]
@@ -420,8 +419,6 @@ def format_cell(p: LaurentPoly) -> str:
 
 
 def _latex_poly(p: LaurentPoly) -> str:
-    if p.is_zero():
-        return "\\cdot"
     parts = []
     for e, c in p.items():
         if e == 0:
@@ -436,12 +433,25 @@ def _latex_poly(p: LaurentPoly) -> str:
     return "".join(parts)
 
 
+def _cell_texts(m: PolyMatrix, render, zero: str):
+    """Each row of m as a list of cell texts: a copy of a row of ``zero``
+    strings with every nonzero cell rendered, each distinct one once."""
+    blank = [zero] * len(m.col_labels)
+    texts: dict[LaurentPoly, str] = {}
+    for cells in m.row_nonzeros:
+        row = blank.copy()
+        for j, p in cells:
+            text = texts.get(p)
+            if text is None:
+                text = texts[p] = render(p)
+            row[j] = text
+        yield row
+
+
 def matrix_to_csv(m: PolyMatrix) -> str:
     lines = ["," + ",".join(format_multipartition(c) for c in m.col_labels)]
-    for lab, row in zip(m.row_labels, m.entries):
-        lines.append(
-            format_multipartition(lab) + "," + ",".join(format_cell(p) for p in row)
-        )
+    for lab, row in zip(m.row_labels, _cell_texts(m, format_cell, ".")):
+        lines.append(format_multipartition(lab) + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -451,9 +461,8 @@ def matrix_to_latex(m: PolyMatrix) -> str:
     head = " & ".join(format_multipartition(c) for c in m.col_labels)
     lines.append(f" & {head} \\\\")
     lines.append("\\hline")
-    for lab, row in zip(m.row_labels, m.entries):
-        cells = " & ".join(_latex_poly(p) for p in row)
-        lines.append(f"{format_multipartition(lab)} & {cells} \\\\")
+    for lab, row in zip(m.row_labels, _cell_texts(m, _latex_poly, "\\cdot")):
+        lines.append(f"{format_multipartition(lab)} & {' & '.join(row)} \\\\")
     lines.append("\\end{array}")
     return "\n".join(lines) + "\n"
 
@@ -487,10 +496,13 @@ def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
     True
     """
     i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
-    cells: dict[LaurentPoly, str] = {}
 
     def labels(labs) -> str:
         return _json_list([json.dumps(format_multipartition(x)) for x in labs], i2, i1)
+
+    def cell(p: LaurentPoly) -> str:
+        # a cell sits three levels below the matrix object
+        return json.dumps(p.to_pairs(), indent=2).replace("\n", i3)
 
     parts.append("{" + i1 + '"row_labels": ' + labels(m.row_labels))
     parts.append("," + i1 + '"col_labels": ' + labels(m.col_labels))
@@ -498,32 +510,18 @@ def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
     if not m.row_nonzeros:
         parts.append("[]")
     else:
-        empty_row = ["[]"] * len(m.col_labels)
         row_sep = "[" + i2
-        for row in m.row_nonzeros:
-            texts = empty_row.copy()
-            for j, p in row:
-                text = cells.get(p)
-                if text is None:
-                    # a cell sits three levels below the matrix object
-                    text = cells[p] = json.dumps(p.to_pairs(), indent=2).replace("\n", i3)
-                texts[j] = text
-            parts.append(row_sep + _json_list(texts, i3, i2))
+        for row in _cell_texts(m, cell, "[]"):
+            parts.append(row_sep + _json_list(row, i3, i2))
             row_sep = "," + i2
         parts.append(i1 + "]")
     parts.append(i0 + "}")
 
 
 def matrix_to_text(m: PolyMatrix) -> str:
-    heads = [""] + [format_multipartition(c) for c in m.col_labels]
-    body = [
-        [format_multipartition(lab)] + ["." if p.is_zero() else str(p) for p in row]
-        for lab, row in zip(m.row_labels, m.entries)
-    ]
-    widths = [
-        max(len(r[i]) for r in [heads] + body) for i in range(len(heads))
-    ]
-    lines = []
-    for r in [heads] + body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+    table = [[""] + [format_multipartition(c) for c in m.col_labels]]
+    for lab, row in zip(m.row_labels, _cell_texts(m, str, ".")):
+        table.append([format_multipartition(lab)] + row)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"

@@ -29,7 +29,6 @@ from fockdec.factorize import (
     matrix_to_json_obj,
     verify,
 )
-from fockdec.laurent import DivisionNotExact
 
 GOLDEN_CANONICAL_CSV = (
     ",-|3,1|2,-|2.1\n"
@@ -486,7 +485,7 @@ def test_json_output_is_json_dumps_of_the_structure(capsys):
 
 def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
     failures = [OrderViolation, PeelingUnitriangularityViolated, MissingPredecessor,
-                InvariantViolated, NotInBInfinity, DivisionNotExact]
+                InvariantViolated, NotInBInfinity]
     targets = [("canonical_basis", "canonical"), ("canonical_basis", "factorize"),
                ("extract_relative", "factorize")]
     for exc_type in failures:

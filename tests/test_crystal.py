@@ -164,12 +164,14 @@ def _reference_edges(g):
     ]
 
 
-@pytest.mark.parametrize("e", [2, 3, None])
-@pytest.mark.parametrize("charge", [(0,), (1, 0), (0, 2, 1)])
+@pytest.mark.parametrize("e", [2, 3, None, 4, 5])
+@pytest.mark.parametrize("charge", [(0,), (1, 0), (0, 2, 1), (0, 0, 0, 0)])
 def test_edge_listing_matches_per_source_reference(e, charge):
     g = generate_component(e, charge, 5)
     expected = _reference_edges(g)
     assert len(expected) == len(g.edges) > 0
+    # the stored order is the listing order: to_json_obj and to_dot do not sort
+    assert list(g.edges) == [(src, i) for src, i, _ in expected]
     assert g.to_json_obj()["edges"] == [
         {
             "source": format_multipartition(src),

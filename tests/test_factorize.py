@@ -22,6 +22,7 @@ from fockdec.factorize import (
     NotInBInfinity,
     PolyMatrix,
     _int_matmul,
+    _latex_poly,
     all_pass,
     append_matrix_json,
     back_substitution_oracle,
@@ -508,17 +509,71 @@ def test_dense_construction_keeps_only_nonzero_cells(table, depth):
     assert "".join(parts) == json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def test_matrix_json_formats_each_distinct_cell_once(monkeypatch):
+# the dense renderers the sparse ones replaced, kept as references: each
+# walks every cell of the dense table
+def _dense_csv(rows, cols, entries):
+    lines = ["," + ",".join(format_multipartition(c) for c in cols)]
+    for lab, row in zip(rows, entries):
+        lines.append(
+            format_multipartition(lab) + "," + ",".join(format_cell(p) for p in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _dense_latex(rows, cols, entries):
+    lines = [f"\\begin{{array}}{{l|{'c' * len(cols)}}}"]
+    head = " & ".join(format_multipartition(c) for c in cols)
+    lines.append(f" & {head} \\\\")
+    lines.append("\\hline")
+    for lab, row in zip(rows, entries):
+        cells = " & ".join("\\cdot" if p.is_zero() else _latex_poly(p) for p in row)
+        lines.append(f"{format_multipartition(lab)} & {cells} \\\\")
+    lines.append("\\end{array}")
+    return "\n".join(lines) + "\n"
+
+
+def _dense_text(rows, cols, entries):
+    heads = [""] + [format_multipartition(c) for c in cols]
+    body = [
+        [format_multipartition(lab)] + ["." if p.is_zero() else str(p) for p in row]
+        for lab, row in zip(rows, entries)
+    ]
+    widths = [
+        max(len(r[i]) for r in [heads] + body) for i in range(len(heads))
+    ]
+    lines = []
+    for r in [heads] + body:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+@given(dense_tables())
+@settings(max_examples=200, deadline=None)
+def test_sparse_renderers_match_dense_references(table):
+    m = PolyMatrix.from_dense(*table)
+    assert matrix_to_csv(m) == _dense_csv(*table)
+    assert matrix_to_latex(m) == _dense_latex(*table)
+    assert matrix_to_text(m) == _dense_text(*table)
+
+
+@pytest.mark.parametrize("render", [
+    pytest.param(lambda m: append_matrix_json([], m, 1), id="json"),
+    pytest.param(matrix_to_csv, id="csv"),
+    pytest.param(matrix_to_latex, id="latex"),
+    pytest.param(matrix_to_text, id="text"),
+])
+def test_matrix_json_formats_each_distinct_cell_once(monkeypatch, render):
+    # every format reads a nonzero cell's terms through LaurentPoly.items
     calls = []
-    to_pairs = LaurentPoly.to_pairs
-    monkeypatch.setattr(LaurentPoly, "to_pairs", lambda p: calls.append(p) or to_pairs(p))
+    items = LaurentPoly.items
+    monkeypatch.setattr(LaurentPoly, "items", lambda p: calls.append(p) or items(p))
     labels = tuple(MP_LABELS[:3])
     cells = (
         (LaurentPoly(1, (1,)), LaurentPoly(0, ()), LaurentPoly(1, (1,))),
         (LaurentPoly(0, ()), LaurentPoly(1, (1,)), LaurentPoly(-2, (2**65, 0, -1))),
         (LaurentPoly(1, (1,)), LaurentPoly(-2, (2**65, 0, -1)), ZERO),
     )
-    append_matrix_json([], PolyMatrix.from_dense(labels, labels, cells), 1)
+    render(PolyMatrix.from_dense(labels, labels, cells))
     assert sorted(calls, key=lambda p: p.val) == [LaurentPoly(-2, (2**65, 0, -1)), V]
 
 
