@@ -10,6 +10,7 @@ canonical      bar-invariant canonical bases via peeling and elimination
 factorize      decomposition matrices, relative factor extraction, checks
 abacus         level-l abacus correspondence and reading sequences
 cli            the fockdec command line
+reference      independent cross-checks of the above; no command imports it
 """
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from .combinatorics import Charge, Multipartition
+from .combinatorics import Charge, InvariantViolated, Multipartition
 
 __all__ = [
     "RTooSmall",
@@ -109,7 +109,8 @@ def min_valid_r(mp: Multipartition, charge: Charge, e: int) -> int:
         ks = _bead_labels(mp, charge, e, count)
         for i, k in enumerate(ks, start=1):
             row = k - (s_tot + 1 - i)
-            assert row >= 0, "bead labels do not form a beta-sequence"
+            if row < 0:
+                raise InvariantViolated("bead labels do not form a beta-sequence")
             if row == 0:
                 # rows of the level-one partition weakly decrease, so the
                 # first zero row ends them all
@@ -252,11 +253,9 @@ def stable_r(
     return base if offset == 0 else base + step - offset
 
 
-def ascii_art(mp: Multipartition, charge: Charge, e: int, r: int) -> str:
-    """Draw the truncated abacus: one line per runner, columns descending
-    left to right, 'o' for a bead and '.' for a gap."""
-    ks = tau_inverse(mp, charge, e, r)
-    l = len(charge)
+def ascii_art(ks: tuple[int, ...], e: int, l: int) -> str:
+    """Draw the abacus of the bead labels ks: one line per runner, columns
+    descending left to right, 'o' for a bead and '.' for a gap."""
     spots = {}
     for kk in ks:
         phi, d = position(kk, e, l)

@@ -6,10 +6,11 @@ from the vertex, repeatedly pick the residue whose good removable node is
 greatest in the node order, remove good nodes epsilon many times, and
 recurse until the empty multipartition.  canonical_basis reads these words
 off the reverse edges of the crystal graph it already holds
-(CrystalGraph.peeling_words); peeling_sequence computes the same word from
-good-node signatures and is the independent route of build_A and
-brute_force_basis.  Applying the reversed monomial to the vacuum yields a
-bar-invariant vector supported at the vertex.  A Gaussian pass then
+(CrystalGraph.peeling_words).  fockdec.reference holds the independent
+routes: peeling_sequence computes the same words from good-node
+signatures, and brute_force_basis solves for the same basis without
+reusing basis vectors.  Applying the reversed monomial to the vacuum
+yields a bar-invariant vector supported at the vertex.  A Gaussian pass then
 subtracts bar-symmetric multiples of other basis vectors until every
 off-diagonal coefficient lies in v*Z[v]; the result is the unique
 bar-invariant basis vector congruent to its vertex modulo v.
@@ -28,10 +29,9 @@ offender on demand, recursively; subtracting it removes the excess as well,
 and the diagonal coefficient is checked to be exactly 1 only after
 reduction.  A dependency cycle between vertices would make the system
 unsolvable by this route and raises OrderViolation; none has been
-observed.  Every other internal check (peeling runs out of good nodes,
-elimination does not terminate or leaves an off-label coefficient outside
-v*Z[v], brute_force_basis fails to settle a vertex) raises
-InvariantViolated, so it holds under python -O as well.
+observed.  Every other internal check (elimination does not terminate or
+leaves an off-label coefficient outside v*Z[v]) raises InvariantViolated,
+so it holds under python -O as well.
 
 The construction never uses dominance of the charge, so it runs at any
 charge directly.  All peeling words of a rank are applied in one pass
@@ -47,23 +47,13 @@ from typing import NamedTuple, Optional
 
 from .combinatorics import (
     Charge,
+    InvariantViolated,
     Multipartition,
-    content,
     empty,
     enumerate_multipartitions,
     format_multipartition,
-    gamma_sequence,
-    node_key,
-    removable_nodes,
-    residue,
 )
-from .crystal import (
-    NotInCrystal,
-    epsilon,
-    generate_component,
-    good_removable_node,
-    remove_good,
-)
+from .crystal import generate_component
 from .fock import FockVector, _apply_f_divided, basis_vector
 from .laurent import ONE, LaurentPoly, bar_symmetric_part
 
@@ -71,14 +61,10 @@ __all__ = [
     "PeelingUnitriangularityViolated",
     "MissingPredecessor",
     "OrderViolation",
-    "InvariantViolated",
     "CanonicalBasisSet",
-    "peeling_sequence",
-    "build_A",
     "apply_peeling",
     "apply_peelings",
     "canonical_basis",
-    "brute_force_basis",
 ]
 
 
@@ -92,52 +78,6 @@ class MissingPredecessor(RuntimeError):
 
 class OrderViolation(RuntimeError):
     """Basis vectors depend on each other in a cycle."""
-
-
-class InvariantViolated(RuntimeError):
-    """Peeling or elimination reached a state that its invariants rule out."""
-
-
-def peeling_sequence(
-    mp: Multipartition, e: Optional[int], charge: Charge
-) -> tuple[tuple[int, int], ...]:
-    """The maximal good-node peeling word for a crystal vertex.
-
-    Entries are (residue, multiplicity) pairs, first entry peeling mp
-    itself.  Raises NotInCrystal when peeling dead-ends before the empty
-    multipartition, which happens exactly off the component.
-
-    This is the signature route, kept as the cross-check of
-    CrystalGraph.peeling_words (which canonical_basis uses): every step
-    recomputes the good removable node of each residue that a removable
-    node of the current multipartition carries.
-    """
-    seq: list[tuple[int, int]] = []
-    cur = mp
-    vac = empty(len(charge))
-    while cur != vac:
-        best: Optional[tuple[tuple[int, int], int]] = None
-        present = {residue(content(n, charge), e) for n in removable_nodes(cur, charge)}
-        for i in present:
-            node = good_removable_node(cur, e, i, charge)
-            if node is not None:
-                key = node_key(node, charge)
-                if best is None or key > best[0]:
-                    best = (key, i)
-        if best is None:
-            raise NotInCrystal(f"{format_multipartition(mp)} peels to a dead end")
-        i = best[1]
-        u = epsilon(cur, e, i, charge)
-        seq.append((i, u))
-        for _ in range(u):
-            nxt = remove_good(cur, e, i, charge)
-            if nxt is None:
-                raise InvariantViolated(
-                    f"{format_multipartition(cur)} has no good {i}-node left "
-                    f"of the {u} that epsilon counted"
-                )
-            cur = nxt
-    return tuple(seq)
 
 
 def apply_peeling(
@@ -176,19 +116,6 @@ def apply_peelings(
         out[k] = stack[-1]
         prev = word
     return out
-
-
-def build_A(mp: Multipartition, e: Optional[int], charge: Charge) -> FockVector:
-    """The bar-invariant peeling monomial vector for one crystal vertex.
-
-    The coefficient at mp is checked to be exactly 1.
-    """
-    x = apply_peeling(peeling_sequence(mp, e, charge), e, charge)
-    if x.coeff(mp) != ONE:
-        raise PeelingUnitriangularityViolated(
-            f"coefficient of {format_multipartition(mp)} is {x.coeff(mp)}"
-        )
-    return x
 
 
 class CanonicalBasisSet(NamedTuple):
@@ -332,55 +259,3 @@ def _check_reduced(g: FockVector, label: Multipartition) -> None:
             )
 
 
-def brute_force_basis(
-    e: Optional[int], charge: Charge, n: int
-) -> dict[Multipartition, FockVector]:
-    """Independent solver for the same basis, for cross-checking.
-
-    Works coordinate-wise in the span of the peeling monomial vectors: for
-    each vertex, start from the unit coordinate vector and repeatedly
-    re-expand the full combination in the standard basis, cancelling the
-    bar-symmetric part of the greatest off-label coefficient by adjusting
-    the coordinate at that label.  No intermediate basis vectors are
-    reused, so the only shared ingredients with canonical_basis are the
-    monomial vectors themselves.
-    """
-    graph = generate_component(e, charge, n)
-    verts = list(graph.vertices(n))
-    seqs = [peeling_sequence(lam, e, charge) for lam in verts]
-    amat = dict(zip(verts, apply_peelings(seqs, e, charge)))
-    out: dict[Multipartition, FockVector] = {}
-    for lam in verts:
-        coords: dict[Multipartition, LaurentPoly] = {lam: ONE}
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > 8 * len(verts) + 64:
-                raise InvariantViolated("coordinate adjustment failed to terminate")
-            y = FockVector(charge, {})
-            for kap, c in coords.items():
-                y = y + amat[kap].scale(c)
-            offender = None
-            for mp, c in y.entries.items():
-                if mp == lam:
-                    continue
-                if not bar_symmetric_part(c).is_zero():
-                    if offender is None or gamma_sequence(mp, charge) > gamma_sequence(
-                        offender, charge
-                    ):
-                        offender = mp
-            if offender is None:
-                if y.coeff(lam) != ONE:
-                    raise InvariantViolated(
-                        f"coefficient of {format_multipartition(lam)} at its own "
-                        f"label is {y.coeff(lam)}, not 1"
-                    )
-                out[lam] = y
-                break
-            if offender not in amat:
-                raise InvariantViolated(
-                    f"offender {format_multipartition(offender)} is not a vertex"
-                )
-            m = bar_symmetric_part(y.coeff(offender))
-            coords[offender] = coords.get(offender, LaurentPoly()) - m
-    return out

@@ -35,7 +35,6 @@ from typing import Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
 from .canonical import (
-    InvariantViolated,
     MissingPredecessor,
     OrderViolation,
     PeelingUnitriangularityViolated,
@@ -43,6 +42,7 @@ from .canonical import (
 )
 from .combinatorics import (
     Charge,
+    InvariantViolated,
     Multipartition,
     compare_dominance,
     format_multipartition,
@@ -84,6 +84,7 @@ INTERNAL_FAILURES = (
     MissingPredecessor,
     InvariantViolated,
     NotInBInfinity,
+    NonTermination,
 )
 
 
@@ -163,10 +164,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     ginf = canonical_basis(None, args.charge, args.rank)
     de = basis_matrix(ge)
     dinf = basis_matrix(ginf)
-    try:
-        drel = extract_relative(ge, ginf)
-    except NonTermination as exc:
-        return _fail(str(exc), 3)
+    drel = extract_relative(ge, ginf)
     report = verify(de, dinf, drel, args.charge)
     ok = all_pass(report)
 
@@ -245,7 +243,7 @@ def cmd_abacus(args: argparse.Namespace) -> int:
             for name, seq in rows
         ]
         lines.append("")
-        lines.append(ascii_art(mp, charge, e, r))
+        lines.append(ascii_art(ks, e, len(charge)))
         _out("\n".join(lines))
     return 0
 

@@ -39,11 +39,11 @@ __all__ = [
     "Node",
     "Ordering",
     "RankMismatch",
+    "InvariantViolated",
     "partitions",
     "parse_multipartition",
     "format_multipartition",
     "parse_charge",
-    "format_charge",
     "rank",
     "empty",
     "add_node",
@@ -67,6 +67,10 @@ __all__ = [
 
 class RankMismatch(ValueError):
     """Dominance comparison of multipartitions of different rank."""
+
+
+class InvariantViolated(RuntimeError):
+    """A computation reached a state that its invariants rule out."""
 
 
 class Node(NamedTuple):
@@ -133,10 +137,6 @@ def format_multipartition(mp: Multipartition) -> str:
 def parse_charge(text: str) -> Charge:
     """Parse '0,0,-1' syntax."""
     return tuple(int(c) for c in text.split(","))
-
-
-def format_charge(charge: Charge) -> str:
-    return ",".join(str(c) for c in charge)
 
 
 def rank(mp: Multipartition) -> int:

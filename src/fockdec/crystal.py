@@ -13,9 +13,9 @@ combinatorics.i_nodes, the scan the Fock operators run, as two lists
 ascending in the node order, and finds the good addable node in one merge
 pass over them: a removable node adds one pending removable; an addable
 node cancels one pending removable, or becomes the candidate if none is
-pending; the last candidate is the good addable node.  signature_blocks
-and the functions built on it keep the word form as the independent route
-that canonical.peeling_sequence and the tests use.
+pending; the last candidate is the good addable node.  The word form
+(signature_blocks and the functions built on it) is the independent route
+in fockdec.reference.
 
 Adding the good addable node is injective with inverse "remove the good
 removable node", which makes the set of multipartitions reachable from the
@@ -24,11 +24,6 @@ rank.  Its reverse edges carry each vertex's maximal good-node peeling
 word (CrystalGraph.peeling_words): the i-predecessor of a vertex is the
 vertex minus its good removable i-node, and epsilon is the length of the
 i-string back from it.
-
->>> good_node(((), ()), 2, 0, (0, 0))
-Node(row=1, col=1, comp=2)
->>> epsilon(((1,), (1,)), 2, 0, (0, 0))
-2
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from .combinatorics import (
     Multipartition,
     Node,
     add_boxes,
-    add_node,
     addable_nodes,
     content,
     empty,
@@ -49,81 +43,13 @@ from .combinatorics import (
     gamma_lex_sorted,
     i_nodes,
     node_key,
-    remove_node,
-    removable_nodes,
 )
 
 __all__ = [
-    "NotInCrystal",
-    "signature_blocks",
-    "good_node",
-    "good_removable_node",
-    "epsilon",
-    "apply_good",
-    "remove_good",
     "residue_alphabet",
     "CrystalGraph",
     "generate_component",
 ]
-
-
-class NotInCrystal(ValueError):
-    """A multipartition outside the generated component."""
-
-
-def signature_blocks(
-    mp: Multipartition, e: Optional[int], i: int, charge: Charge
-) -> tuple[list[Node], list[Node]]:
-    """The surviving (addable block, removable block) of the i-word."""
-    word = [(n, True) for n in addable_nodes(mp, charge, e, i)]
-    word += [(n, False) for n in removable_nodes(mp, charge, e, i)]
-    word.sort(key=lambda t: node_key(t[0], charge))
-    stack: list[tuple[Node, bool]] = []
-    for item in word:
-        if item[1] and stack and not stack[-1][1]:
-            stack.pop()
-        else:
-            stack.append(item)
-    cut = sum(1 for t in stack if t[1])
-    return [t[0] for t in stack[:cut]], [t[0] for t in stack[cut:]]
-
-
-def good_node(
-    mp: Multipartition, e: Optional[int], i: int, charge: Charge
-) -> Optional[Node]:
-    """The good addable i-node, or None when the addable block is empty."""
-    adds, _ = signature_blocks(mp, e, i, charge)
-    return adds[-1] if adds else None
-
-
-def good_removable_node(
-    mp: Multipartition, e: Optional[int], i: int, charge: Charge
-) -> Optional[Node]:
-    """The good removable i-node, or None when the removable block is empty."""
-    _, rems = signature_blocks(mp, e, i, charge)
-    return rems[0] if rems else None
-
-
-def epsilon(mp: Multipartition, e: Optional[int], i: int, charge: Charge) -> int:
-    """The size of the surviving removable block."""
-    _, rems = signature_blocks(mp, e, i, charge)
-    return len(rems)
-
-
-def apply_good(
-    mp: Multipartition, e: Optional[int], i: int, charge: Charge
-) -> Optional[Multipartition]:
-    """Add the good addable i-node, or None."""
-    node = good_node(mp, e, i, charge)
-    return None if node is None else add_node(mp, node)
-
-
-def remove_good(
-    mp: Multipartition, e: Optional[int], i: int, charge: Charge
-) -> Optional[Multipartition]:
-    """Remove the good removable i-node, or None."""
-    node = good_removable_node(mp, e, i, charge)
-    return None if node is None else remove_node(mp, node)
 
 
 def _good_addable(
@@ -189,7 +115,7 @@ class CrystalGraph:
         """The maximal good-node peeling word of every vertex, off the edges.
 
         Entries are (residue, multiplicity) pairs, first entry peeling the
-        vertex itself, as in canonical.peeling_sequence.  A vertex's
+        vertex itself, as in reference.peeling_sequence.  A vertex's
         i-predecessors are its good removable i-nodes taken away one at a
         time, so the residue to peel is the one whose removed box is
         greatest by node_key, epsilon is the length of the i-string back,

@@ -3,14 +3,15 @@
 The matrix of a canonical basis set has one row per rank-n multipartition
 (descending gamma order) and one column per basis vector.  A PolyMatrix
 stores only the nonzero cells of each row, in column order; the dense
-table is a view kept for the reference routes and the tests.  The finite-e
+table is a view kept for fockdec.reference and the tests.  The finite-e
 matrix factors through the no-modulus one: column by column, repeatedly
 strip the greatest remaining support term by subtracting that multiple of
 the corresponding no-modulus basis vector; the multiples assemble into the
 relative matrix, which is unitriangular with off-diagonal entries in
 v*Z[v] and nonnegative coefficients.  verify() rechecks all of that from
 the nonzero cells of the finished matrices, including the v=1
-specialization.
+specialization.  back_substitution_oracle in fockdec.reference solves for
+the relative matrix independently, on the dense tables.
 
 Rendering: all four formats walk the nonzero cells (_cell_texts) and
 format each distinct cell once per matrix.  matrix_to_json_obj() is the
@@ -34,16 +35,14 @@ from .combinatorics import (
     format_multipartition,
     gamma_prefix_sums,
 )
-from .laurent import ONE, ZERO, LaurentPoly, exact_div
+from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = [
     "PolyMatrix",
     "NotInBInfinity",
     "NonTermination",
-    "InconsistentSystem",
     "basis_matrix",
     "extract_relative",
-    "back_substitution_oracle",
     "verify",
     "format_cell",
     "matrix_to_csv",
@@ -59,11 +58,11 @@ class NotInBInfinity(RuntimeError):
 
 
 class NonTermination(RuntimeError):
-    """Column extraction exceeded the rank-layer size."""
+    """Column extraction exceeded the rank-layer size.
 
-
-class InconsistentSystem(RuntimeError):
-    """Back substitution left a nonzero residual."""
+    That happens only if a no-modulus basis vector is not unitriangular,
+    so it is an internal failure, not a size guard.
+    """
 
 
 class PolyMatrix:
@@ -73,7 +72,7 @@ class PolyMatrix:
     ascending column order, with no zero entry.  ``entries``, the dense
     row-major table with ZERO in every empty cell, and the label->index
     maps are views built on first use and cached; no command reads
-    ``entries``, which serves the reference routes and the tests.  Immutable.
+    ``entries``, which serves fockdec.reference and the tests.  Immutable.
     """
 
     row_labels: tuple[Multipartition, ...]
@@ -123,15 +122,6 @@ class PolyMatrix:
         cells = self.row_nonzeros[_lookup(self.row_index, row, "row")]
         j = _lookup(self.col_index, col, "column")
         return next((p for k, p in cells if k == j), ZERO)
-
-    def column(self, col: Multipartition) -> dict[Multipartition, LaurentPoly]:
-        j = _lookup(self.col_index, col, "column")
-        return {
-            r: p
-            for r, cells in zip(self.row_labels, self.row_nonzeros)
-            for k, p in cells
-            if k == j
-        }
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """The product, summed over nonzero cell pairs only."""
@@ -225,59 +215,6 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
         for nu, c in coeffs.items():
             rows[inf_row[nu]].append((j, c))
     return PolyMatrix(ginf.labels, ge.labels, tuple(map(tuple, rows)))
-
-
-def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
-    """Solve dinf * X = de by back substitution on the raw matrices.
-
-    Independent of the basis machinery: the elimination order is read off
-    the support structure of dinf alone (a column is eliminated once its
-    pivot row is clear of every other remaining column), and each pivot is
-    divided out with exact_div.  Raises InconsistentSystem when a column of
-    de is not in the span.
-    """
-    if de.row_labels != dinf.row_labels:
-        raise ValueError("row labels do not match")
-    ncols = len(dinf.col_labels)
-    pivot_row = [dinf.row_labels.index(c) for c in dinf.col_labels]
-    remaining = set(range(ncols))
-    order: list[int] = []
-    while remaining:
-        free = [
-            j
-            for j in remaining
-            if all(
-                dinf.entries[pivot_row[j]][k].is_zero()
-                for k in remaining
-                if k != j
-            )
-        ]
-        if not free:
-            raise ValueError("matrix is not unitriangular in any column order")
-        free.sort()
-        order.append(free[0])
-        remaining.discard(free[0])
-    out_cols = []
-    for cj in range(len(de.col_labels)):
-        resid = [de.entries[i][cj] for i in range(len(de.row_labels))]
-        x = [ZERO] * ncols
-        for j in order:
-            pr = pivot_row[j]
-            if resid[pr].is_zero():
-                continue
-            xj = exact_div(resid[pr], dinf.entries[pr][j])
-            x[j] = xj
-            for i in range(len(resid)):
-                if not dinf.entries[i][j].is_zero():
-                    resid[i] = resid[i] - dinf.entries[i][j] * xj
-        if any(not r.is_zero() for r in resid):
-            raise InconsistentSystem(format_multipartition(de.col_labels[cj]))
-        out_cols.append(x)
-    entries = tuple(
-        tuple(out_cols[cj][j] for cj in range(len(de.col_labels)))
-        for j in range(ncols)
-    )
-    return PolyMatrix.from_dense(dinf.col_labels, de.col_labels, entries)
 
 
 def verify(

@@ -3,10 +3,7 @@
 Vectors are finite Z[v, 1/v]-combinations of multipartitions of a fixed
 level and charge.  The raising operator f_i inserts one box of residue i and
 weights each insertion by v to the count of addable i-nodes above the new
-box minus removable i-nodes above it in the result; the lowering operator
-e_i deletes one box with the mirrored count below, with a minus sign in the
-exponent; t_i is diagonal with the net addable-minus-removable count.
-The modulus is e >= 2 or None; apply_f and apply_f_divided raise ValueError
+box minus removable i-nodes above it in the result.  The modulus is e >= 2 or None; apply_f and apply_f_divided raise ValueError
 for e < 2.
 
 Both raising operators work from one scan of each source multipartition:
@@ -24,9 +21,9 @@ the elimination step x - m*g in one pass.
 
 With e=None the same formulas run on raw contents instead of residues:
 that is the large-rank limit in which every content class is its own
-residue.  The two operator families are compatible: an f_i for finite e
-expands through the content operators, which check_compatibility verifies
-on concrete vectors.
+residue.  The lowering operator e_i, the diagonal operator t_i, the node
+counts of one insertion, and the check that each finite-e operator expands
+through the content operators are cross-checks in fockdec.reference.
 
 >>> x = basis_vector(((), ()), (0, 0))
 >>> print(apply_f(x, 2, 0))
@@ -41,40 +38,19 @@ from typing import Optional
 from .combinatorics import (
     Charge,
     Multipartition,
-    Node,
-    _match,
     add_boxes,
-    add_node,
-    addable_nodes,
-    content,
     format_multipartition,
     gamma_lex_sorted,
     i_nodes,
-    node_key,
-    remove_node,
-    removable_nodes,
 )
 from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = [
     "FockVector",
-    "NodeCounts",
-    "InvalidPair",
     "basis_vector",
-    "count_N",
     "apply_f",
-    "apply_e",
-    "apply_t",
     "apply_f_divided",
-    "compatibility_rhs_f",
-    "compatibility_rhs_e",
-    "compatibility_rhs_t",
-    "check_compatibility",
 ]
-
-
-class InvalidPair(ValueError):
-    """count_N called on multipartitions not differing by the named node."""
 
 
 class FockVector:
@@ -204,59 +180,6 @@ def basis_vector(mp: Multipartition, charge: Charge) -> FockVector:
     return FockVector(charge, {mp: ONE})
 
 
-class NodeCounts:
-    """The three signed node counts attached to one box insertion.
-
-    n_above: addable i-nodes of the smaller shape strictly above the box,
-    minus removable i-nodes of the larger shape strictly above it (the
-    f_i exponent).  n_below: the same with "strictly below" (negated, this
-    is the e_i exponent).  n_total: addable minus removable i-nodes of the
-    smaller shape.
-    """
-
-    __slots__ = ("n_above", "n_below", "n_total")
-
-    def __init__(self, n_above: int, n_below: int, n_total: int):
-        self.n_above = n_above
-        self.n_below = n_below
-        self.n_total = n_total
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NodeCounts)
-            and (self.n_above, self.n_below, self.n_total)
-            == (other.n_above, other.n_below, other.n_total)
-        )
-
-    def __repr__(self) -> str:
-        return f"NodeCounts(n_above={self.n_above}, n_below={self.n_below}, n_total={self.n_total})"
-
-
-def count_N(
-    lam: Multipartition,
-    mu: Multipartition,
-    gamma: Node,
-    e: Optional[int],
-    i: int,
-    charge: Charge,
-) -> NodeCounts:
-    """Node counts for the pair mu = lam + gamma, where gamma has residue i."""
-    try:
-        if add_node(lam, gamma) != mu:
-            raise InvalidPair(f"{mu} is not {lam} plus {gamma}")
-    except ValueError as err:
-        raise InvalidPair(str(err)) from None
-    if not _match(content(gamma, charge), e, i):
-        raise InvalidPair(f"{gamma} does not have residue {i}")
-    key = node_key(gamma, charge)
-    add_keys = [node_key(n, charge) for n in addable_nodes(lam, charge, e, i)]
-    rem_keys = [node_key(n, charge) for n in removable_nodes(mu, charge, e, i)]
-    above = sum(1 for k in add_keys if k > key) - sum(1 for k in rem_keys if k > key)
-    below = sum(1 for k in add_keys if k < key) - sum(1 for k in rem_keys if k < key)
-    total = len(add_keys) - len(removable_nodes(lam, charge, e, i))
-    return NodeCounts(above, below, total)
-
-
 def _single_exponents(
     adds: list[tuple[tuple[int, int], int, int]], rems: list[tuple[int, int]]
 ) -> list[int]:
@@ -283,37 +206,6 @@ def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
     That argument fails for e = 1, which raises ValueError.
     """
     return apply_f_divided(x, e, i, 1)
-
-
-def apply_e(x: FockVector, e: Optional[int], i: int) -> FockVector:
-    """The lowering operator for residue i."""
-    charge = x.charge
-    out: dict[Multipartition, LaurentPoly] = {}
-    for mp, c in x.entries.items():
-        rems = removable_nodes(mp, charge, e, i)
-        keys = [node_key(n, charge) for n in rems]
-        for pos, gamma in enumerate(rems):
-            mu = remove_node(mp, gamma)
-            below_add = sum(
-                1
-                for n in addable_nodes(mu, charge, e, i)
-                if node_key(n, charge) < keys[pos]
-            )
-            below_rem = pos
-            term = c.shift(-(below_add - below_rem))
-            got = out.get(mu)
-            out[mu] = term if got is None else got + term
-    return FockVector(charge, out)
-
-
-def apply_t(x: FockVector, e: Optional[int], i: int) -> FockVector:
-    """The diagonal operator: v to the net addable-minus-removable count."""
-    charge = x.charge
-    out = {}
-    for mp, c in x.entries.items():
-        net = len(addable_nodes(mp, charge, e, i)) - len(removable_nodes(mp, charge, e, i))
-        out[mp] = c.shift(net)
-    return FockVector(charge, out)
 
 
 def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVector:
@@ -390,94 +282,3 @@ def _moves(
         )
         for subset in combinations(range(len(adds)), u)
     ]
-
-
-# -- compatibility between the finite-e and content operator families ----
-
-
-def _content_bounds(mp: Multipartition, charge: Charge) -> tuple[int, int]:
-    """Inclusive content range containing every addable/removable node."""
-    lo = min(s - len(part) for part, s in zip(mp, charge))
-    hi = max(s + (part[0] if part else 0) for part, s in zip(mp, charge))
-    return lo, hi
-
-
-def _net(mp: Multipartition, charge: Charge, j: int) -> int:
-    return len(addable_nodes(mp, charge, None, j)) - len(
-        removable_nodes(mp, charge, None, j)
-    )
-
-
-def _tail_up(mp: Multipartition, charge: Charge, j: int, e: int) -> int:
-    """Sum of net counts at contents j+e, j+2e, ... (finitely many nonzero)."""
-    _, hi = _content_bounds(mp, charge)
-    total = 0
-    jj = j + e
-    while jj <= hi:
-        total += _net(mp, charge, jj)
-        jj += e
-    return total
-
-
-def _tail_down(mp: Multipartition, charge: Charge, j: int, e: int) -> int:
-    lo, _ = _content_bounds(mp, charge)
-    total = 0
-    jj = j - e
-    while jj >= lo:
-        total += _net(mp, charge, jj)
-        jj -= e
-    return total
-
-
-def _window(x: FockVector, i: int, e: int) -> list[int]:
-    """Contents congruent to i mod e that can carry a node for supp(x)."""
-    if x.is_zero():
-        return []
-    los, his = zip(*(_content_bounds(mp, x.charge) for mp in x.entries))
-    lo, hi = min(los), max(his)
-    start = lo + (i - lo) % e
-    return list(range(start, hi + 1, e))
-
-
-def compatibility_rhs_f(x: FockVector, e: int, i: int) -> FockVector:
-    """f_i rebuilt from content operators: sum over contents j = i mod e of
-    the content raising operator followed by the diagonal tail above j."""
-    out = FockVector(x.charge, {})
-    for j in _window(x, i, e):
-        y = apply_f(x, None, j)
-        shifted = {
-            mp: c.shift(_tail_up(mp, x.charge, j, e)) for mp, c in y.entries.items()
-        }
-        out = out + FockVector(x.charge, shifted)
-    return out
-
-
-def compatibility_rhs_e(x: FockVector, e: int, i: int) -> FockVector:
-    """e_i rebuilt from content operators, with inverse diagonal tails below."""
-    out = FockVector(x.charge, {})
-    for j in _window(x, i, e):
-        y = apply_e(x, None, j)
-        shifted = {
-            mp: c.shift(-_tail_down(mp, x.charge, j, e)) for mp, c in y.entries.items()
-        }
-        out = out + FockVector(x.charge, shifted)
-    return out
-
-
-def compatibility_rhs_t(x: FockVector, e: int, i: int) -> FockVector:
-    """t_i rebuilt as the product of all content diagonal operators j = i mod e."""
-    out = {}
-    for mp, c in x.entries.items():
-        lo, hi = _content_bounds(mp, x.charge)
-        total = sum(_net(mp, x.charge, j) for j in range(lo, hi + 1) if (j - i) % e == 0)
-        out[mp] = c.shift(total)
-    return FockVector(x.charge, out)
-
-
-def check_compatibility(x: FockVector, e: int, i: int) -> bool:
-    """Verify the three operator expansions on the concrete vector x."""
-    return (
-        apply_f(x, e, i) == compatibility_rhs_f(x, e, i)
-        and apply_e(x, e, i) == compatibility_rhs_e(x, e, i)
-        and apply_t(x, e, i) == compatibility_rhs_t(x, e, i)
-    )

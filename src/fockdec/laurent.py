@@ -105,16 +105,6 @@ class LaurentPoly:
             if c:
                 yield (self.val + i, c)
 
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no extreme exponents")
-        return self.val
-
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no extreme exponents")
-        return self.val + len(self.coeffs) - 1
-
     def is_bar_symmetric(self) -> bool:
         """True when invariant under v -> 1/v."""
         return self.bar() == self

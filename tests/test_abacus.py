@@ -187,7 +187,7 @@ def test_json_form():
 
 
 def test_ascii_art_golden():
-    art = ascii_art(MP, CHARGE, 2, 7)
+    art = ascii_art(tau_inverse(MP, CHARGE, 2, 7), 2, len(CHARGE))
     assert art == (
         "phi:  1  0 -1 -2 -3\n"
         "  1:  o  o  .  .  .\n"

@@ -12,12 +12,7 @@ import time
 from itertools import combinations
 
 from fockdec.abacus import min_valid_r, reading_word, stable_r, tau_forward, tau_inverse
-from fockdec.canonical import (
-    apply_peeling,
-    brute_force_basis,
-    canonical_basis,
-    peeling_sequence,
-)
+from fockdec.canonical import apply_peeling, canonical_basis
 from fockdec.cli import main as cli_main
 from fockdec.combinatorics import (
     Ordering,
@@ -31,20 +26,20 @@ from fockdec.combinatorics import (
 from fockdec.crystal import generate_component
 from fockdec.factorize import (
     all_pass,
-    back_substitution_oracle,
     basis_matrix,
     extract_relative,
     matrix_to_csv,
     verify,
 )
-from fockdec.fock import (
-    apply_e,
-    apply_f,
-    apply_f_divided,
-    basis_vector,
-    check_compatibility,
-)
+from fockdec.fock import apply_f, apply_f_divided, basis_vector
 from fockdec.laurent import ONE, ZERO, qint
+from fockdec.reference import (
+    apply_e,
+    back_substitution_oracle,
+    brute_force_basis,
+    check_compatibility,
+    peeling_sequence,
+)
 
 # level -> charges exercised by the factorization sweep
 SWEEP_CHARGES = {

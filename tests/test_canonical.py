@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockdec.canonical
+import fockdec.reference
 from fockdec.canonical import (
     CanonicalBasisSet,
     InvariantViolated,
@@ -14,10 +15,7 @@ from fockdec.canonical import (
     PeelingUnitriangularityViolated,
     apply_peeling,
     apply_peelings,
-    build_A,
-    brute_force_basis,
     canonical_basis,
-    peeling_sequence,
 )
 from fockdec.combinatorics import (
     Ordering,
@@ -27,9 +25,10 @@ from fockdec.combinatorics import (
     gamma_sequence,
     parse_multipartition,
 )
-from fockdec.crystal import NotInCrystal, generate_component
+from fockdec.crystal import generate_component
 from fockdec.fock import FockVector, apply_f_divided, basis_vector
 from fockdec.laurent import ONE, LaurentPoly, bar_symmetric_part
+from fockdec.reference import NotInCrystal, brute_force_basis, build_A, peeling_sequence
 
 
 def mp(text):
@@ -275,7 +274,7 @@ def test_brute_force_checks_hold_without_asserts(monkeypatch):
     def doubled(seqs, e, charge):
         return [x.scale(LaurentPoly(0, (2,))) for x in apply(seqs, e, charge)]
 
-    monkeypatch.setattr(fockdec.canonical, "apply_peelings", doubled)
+    monkeypatch.setattr(fockdec.reference, "apply_peelings", doubled)
     with pytest.raises(InvariantViolated):
         brute_force_basis(2, (0,), 2)
 

@@ -23,6 +23,7 @@ from fockdec.canonical import (
 )
 from fockdec.cli import main
 from fockdec.factorize import (
+    NonTermination,
     NotInBInfinity,
     basis_matrix,
     extract_relative,
@@ -485,7 +486,7 @@ def test_json_output_is_json_dumps_of_the_structure(capsys):
 
 def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
     failures = [OrderViolation, PeelingUnitriangularityViolated, MissingPredecessor,
-                InvariantViolated, NotInBInfinity]
+                InvariantViolated, NotInBInfinity, NonTermination]
     targets = [("canonical_basis", "canonical"), ("canonical_basis", "factorize"),
                ("extract_relative", "factorize")]
     for exc_type in failures:
@@ -526,6 +527,31 @@ def test_an_unfinished_reduction_exits_one_with_one_line():
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", REDUCE_ONCE, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (flags, proc.stderr)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("fockdec: InvariantViolated: "), proc.stderr
+
+
+# abacus._bead_labels returning labels that are no beta-sequence, then the CLI run
+BAD_BEADS = """
+import sys
+from fockdec import abacus, cli
+
+abacus._bead_labels = lambda mp, charge, e, count: [-5] * count
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_broken_bead_invariant_exits_one_with_one_line():
+    argv = ["abacus", "--multipartition", "2.1|1", "--charge", "0,0", "--e", "2",
+            "--stable-for", "3"]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", BAD_BEADS, *argv],
             capture_output=True,
             text=True,
         )

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fockdec.combinatorics
 import fockdec.crystal
+import fockdec.reference
 from fockdec.combinatorics import (
     Node,
     empty,
@@ -19,16 +21,13 @@ from fockdec.combinatorics import (
     parse_multipartition,
     rank,
 )
-from fockdec.crystal import (
-    CrystalGraph,
-    _good_addable,
+from fockdec.crystal import CrystalGraph, _good_addable, generate_component, residue_alphabet
+from fockdec.reference import (
     apply_good,
     epsilon,
-    generate_component,
     good_node,
     good_removable_node,
     remove_good,
-    residue_alphabet,
     signature_blocks,
 )
 
@@ -270,7 +269,11 @@ def test_finite_e_generation_reads_no_node_lists(monkeypatch):
     def refuse(*args):
         raise AssertionError("Node-based scan called")
 
-    for name in ("signature_blocks", "addable_nodes", "removable_nodes"):
-        monkeypatch.setattr(fockdec.crystal, name, refuse)
+    for module, name in (
+        (fockdec.reference, "signature_blocks"),
+        (fockdec.crystal, "addable_nodes"),
+        (fockdec.combinatorics, "removable_nodes"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     g = generate_component(3, (0, 1), 5)
     assert sum(map(len, g.layers)) > 1

@@ -17,7 +17,6 @@ from fockdec.combinatorics import (
     parse_multipartition,
 )
 from fockdec.factorize import (
-    InconsistentSystem,
     NonTermination,
     NotInBInfinity,
     PolyMatrix,
@@ -25,7 +24,6 @@ from fockdec.factorize import (
     _latex_poly,
     all_pass,
     append_matrix_json,
-    back_substitution_oracle,
     basis_matrix,
     extract_relative,
     format_cell,
@@ -36,6 +34,7 @@ from fockdec.factorize import (
     verify,
 )
 from fockdec.laurent import ONE, V, ZERO, LaurentPoly, qint
+from fockdec.reference import InconsistentSystem, back_substitution_oracle
 
 GOLDEN_REL_CSV = (
     ",-|3,1|2,-|2.1\n"
@@ -91,8 +90,6 @@ def test_entry_and_column_access():
     m = small_matrix()
     assert m.entry(mp("1.1"), mp("2")) == poly((1, 1))
     assert m.entry(mp("2"), mp("1.1")) == ZERO
-    assert m.column(mp("2")) == {mp("2"): ONE, mp("1.1"): poly((1, 1))}
-    assert m.column(mp("1.1")) == {mp("1.1"): ONE}
 
 
 def test_entry_and_column_reject_unknown_labels():
@@ -101,8 +98,6 @@ def test_entry_and_column_reject_unknown_labels():
         m.entry(mp("3"), mp("2"))
     with pytest.raises(ValueError):
         m.entry(mp("2"), mp("3"))
-    with pytest.raises(ValueError):
-        m.column(mp("3"))
 
 
 def test_matmul():

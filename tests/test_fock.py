@@ -15,20 +15,17 @@ from fockdec.combinatorics import (
     parse_multipartition,
     removable_nodes,
 )
-from fockdec.fock import (
-    FockVector,
+from fockdec.fock import FockVector, apply_f, apply_f_divided, basis_vector
+from fockdec.laurent import ONE, ZERO, LaurentPoly, qfactorial, qint
+from fockdec.reference import (
     InvalidPair,
     NodeCounts,
     apply_e,
-    apply_f,
-    apply_f_divided,
     apply_t,
-    basis_vector,
     check_compatibility,
     compatibility_rhs_f,
     count_N,
 )
-from fockdec.laurent import ONE, ZERO, LaurentPoly, qfactorial, qint
 
 VAC2 = basis_vector(((), ()), (0, 0))
 

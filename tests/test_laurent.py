@@ -91,7 +91,6 @@ def test_coeff_items_and_exponent_range():
     p = poly((-2, 5), (0, -1), (3, 2))
     assert p.coeff(-2) == 5 and p.coeff(1) == 0 and p.coeff(3) == 2
     assert list(p.items()) == [(-2, 5), (0, -1), (3, 2)]
-    assert p.min_exp() == -2 and p.max_exp() == 3
 
 
 def test_eval_one_sums_coefficients():
