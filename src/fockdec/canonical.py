@@ -4,16 +4,16 @@ For each crystal vertex of the requested rank, a monomial in divided powers
 of the raising operators is read off by maximal good-node peeling: starting
 from the vertex, repeatedly pick the residue whose good removable node is
 greatest in the node order, remove good nodes epsilon many times, and
-recurse until the empty multipartition.  canonical_basis reads these words
-off the reverse edges of the crystal graph it already holds
-(CrystalGraph.peeling_words).  fockdec.reference holds the independent
-routes: peeling_sequence computes the same words from good-node
-signatures, and brute_force_basis solves for the same basis without
-reusing basis vectors.  Applying the reversed monomial to the vacuum
-yields a bar-invariant vector supported at the vertex.  A Gaussian pass then
-subtracts bar-symmetric multiples of other basis vectors until every
-off-diagonal coefficient lies in v*Z[v]; the result is the unique
-bar-invariant basis vector congruent to its vertex modulo v.
+recurse until the empty multipartition.  canonical_basis takes these
+words from the crystal graph it generates, which records them while it
+generates the layers (CrystalGraph.peeling_words).  fockdec.reference
+holds the independent routes: peeling_sequence computes the same words
+from good-node signatures, and brute_force_basis solves for the same
+basis without reusing basis vectors.  Applying the reversed monomial to
+the vacuum yields a bar-invariant vector supported at the vertex.  A
+Gaussian pass then subtracts bar-symmetric multiples of other basis
+vectors until every off-diagonal coefficient lies in v*Z[v]; the result
+is the unique bar-invariant basis vector congruent to its vertex modulo v.
 
 canonical_basis enumerates the rank layer once, in descending gamma order,
 and gives each multipartition its position in it.  The Gaussian pass
@@ -187,7 +187,7 @@ def _reduce(
 def canonical_basis(e: Optional[int], charge: Charge, n: int) -> CanonicalBasisSet:
     """The canonical basis vectors labeled by rank-n crystal vertices.
 
-    Peeling words are read off the crystal graph generated here.
+    Peeling words are the ones the crystal graph generated here recorded.
     Vertices are processed in ascending gamma order; when a peeling
     monomial carries a gamma-greater vertex, that vertex's basis vector is
     built first, recursively.

@@ -1,11 +1,14 @@
-"""Multipartitions, charged nodes, and the charge-shifted dominance order.
+"""Multipartitions, the i-node scan, and the charge-shifted dominance order.
 
 A partition is a weakly decreasing tuple of positive ints, a multipartition
-an l-tuple of partitions, and a charge an l-tuple of ints.  Nodes are
-(row, col, comp) triples, all 1-based; the content of a node is
-col - row + charge[comp-1], and for a finite modulus e its residue is the
+an l-tuple of partitions, and a charge an l-tuple of ints.  The node in
+row r, column c of component k (all 1-based) has content
+c - r + charge[k-1], and for a finite modulus e its residue is the
 content mod e (e=None throughout the package means "no modulus", i.e. the
-content itself is the residue).
+content itself is the residue).  The runtime meets nodes only through
+i_nodes, which names each by its key (content, k) in the node order; the
+Node triples and the one-node-at-a-time functions on them are in
+fockdec.reference.
 
 The dominance comparison never takes a modulus: it is computed from a
 charge-and-level-shifted beta-sequence, identical for every e.  Each
@@ -26,7 +29,7 @@ import enum
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import ge, le
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -36,7 +39,6 @@ __all__ = [
     "Partition",
     "Multipartition",
     "Charge",
-    "Node",
     "Ordering",
     "RankMismatch",
     "InvariantViolated",
@@ -46,16 +48,8 @@ __all__ = [
     "parse_charge",
     "rank",
     "empty",
-    "add_node",
-    "remove_node",
-    "content",
-    "residue",
     "i_nodes",
     "add_boxes",
-    "node_key",
-    "node_less",
-    "addable_nodes",
-    "removable_nodes",
     "gamma_sequence",
     "gamma_prefix_sums",
     "compare_prefix_sums",
@@ -71,12 +65,6 @@ class RankMismatch(ValueError):
 
 class InvariantViolated(RuntimeError):
     """A computation reached a state that its invariants rule out."""
-
-
-class Node(NamedTuple):
-    row: int
-    col: int
-    comp: int
 
 
 class Ordering(enum.Enum):
@@ -147,47 +135,6 @@ def empty(level: int) -> Multipartition:
     return ((),) * level
 
 
-def add_node(mp: Multipartition, node: Node) -> Multipartition:
-    """Insert one box; the position must be addable."""
-    row, col, comp = node
-    part = mp[comp - 1]
-    if row == len(part) + 1:
-        if col != 1:
-            raise ValueError(f"{node} is not addable on {mp}")
-        new = part + (1,)
-    else:
-        if not (1 <= row <= len(part)) or col != part[row - 1] + 1:
-            raise ValueError(f"{node} is not addable on {mp}")
-        if row > 1 and part[row - 2] < col:
-            raise ValueError(f"{node} is not addable on {mp}")
-        new = part[: row - 1] + (col,) + part[row:]
-    return mp[: comp - 1] + (new,) + mp[comp:]
-
-
-def remove_node(mp: Multipartition, node: Node) -> Multipartition:
-    """Delete one box; the position must be removable."""
-    row, col, comp = node
-    part = mp[comp - 1]
-    if not (1 <= row <= len(part)) or col != part[row - 1]:
-        raise ValueError(f"{node} is not removable on {mp}")
-    if row < len(part) and part[row] >= col:
-        raise ValueError(f"{node} is not removable on {mp}")
-    if col == 1:
-        new = part[: row - 1] + part[row:]
-    else:
-        new = part[: row - 1] + (col - 1,) + part[row:]
-    return mp[: comp - 1] + (new,) + mp[comp:]
-
-
-def content(node: Node, charge: Charge) -> int:
-    return node.col - node.row + charge[node.comp - 1]
-
-
-def residue(c: int, e: Optional[int]) -> int:
-    """Reduce a content mod e; with no modulus the content stands."""
-    return c if e is None else c % e
-
-
 def i_nodes(
     mp: Multipartition, charge: Charge, e: Optional[int], i: int
 ) -> tuple[list[tuple[tuple[int, int], int, int]], list[tuple[int, int]]]:
@@ -196,11 +143,18 @@ def i_nodes(
     Addable nodes come as (node key, component index, row index), both
     indices 0-based; removable nodes as node keys.  Both lists ascend in
     the node order.  This is the scan behind the Fock operators and the
-    crystal's good nodes; addable_nodes and removable_nodes list the same
-    nodes as Node triples.
+    crystal's good nodes; reference.addable_nodes and
+    reference.removable_nodes list the same nodes as Node triples, and
+    reference._match states the residue rule the scan inlines.
+
+    Modulo e=1 every node is a 0-node, so i_nodes(mp, charge, 1, 0) lists
+    every addable and every removable node of mp; the crystal reads the
+    residues to scan at e=inf from it.
 
     >>> i_nodes(((1,), ()), (0, 0), 2, 0)
     ([((0, 2), 1, 0)], [(0, 1)])
+    >>> i_nodes(((1,), ()), (0, 0), 1, 0)
+    ([((-1, 1), 0, 1), ((0, 2), 1, 0), ((1, 1), 0, 0)], [(0, 1)])
     """
     adds = []
     rems = []
@@ -237,70 +191,6 @@ def add_boxes(mp: Multipartition, picks: list[tuple[int, int]]) -> Multipartitio
         else:
             comps[ci] = part + (1,)
     return tuple(comps)
-
-
-def node_key(node: Node, charge: Charge) -> tuple[int, int]:
-    """Sort key for the node order: content first, then component index."""
-    return (content(node, charge), node.comp)
-
-
-def node_less(a: Node, b: Node, charge: Charge) -> bool:
-    """Strict node order used in all operator exponent counts.
-
-    >>> node_less(Node(1, 1, 1), Node(1, 1, 2), (0, 0))
-    True
-    """
-    return node_key(a, charge) < node_key(b, charge)
-
-
-def _match(c: int, e: Optional[int], i: Optional[int]) -> bool:
-    """The residue rule: content c has residue i (every c when i is None)."""
-    if i is None:
-        return True
-    if e is None:
-        return c == i
-    return (c - i) % e == 0
-
-
-def addable_nodes(
-    mp: Multipartition, charge: Charge, e: Optional[int] = None, i: Optional[int] = None
-) -> list[Node]:
-    """Addable nodes, optionally filtered to residue i, ascending in the node order.
-
-    >>> addable_nodes(((1,), ()), (0, 0), 2, 0)
-    [Node(row=1, col=1, comp=2)]
-    >>> addable_nodes(((1,), ()), (0, 0), 2, 1)
-    [Node(row=2, col=1, comp=1), Node(row=1, col=2, comp=1)]
-    """
-    out = []
-    for ci, part in enumerate(mp, start=1):
-        for row in range(1, len(part) + 2):
-            here = part[row - 1] if row <= len(part) else 0
-            above = part[row - 2] if row >= 2 else None
-            if above is not None and above <= here:
-                continue
-            node = Node(row, here + 1, ci)
-            if _match(content(node, charge), e, i):
-                out.append(node)
-    out.sort(key=lambda nd: node_key(nd, charge))
-    return out
-
-
-def removable_nodes(
-    mp: Multipartition, charge: Charge, e: Optional[int] = None, i: Optional[int] = None
-) -> list[Node]:
-    """Removable nodes, optionally filtered to residue i, ascending in the node order."""
-    out = []
-    for ci, part in enumerate(mp, start=1):
-        for row in range(1, len(part) + 1):
-            below = part[row] if row < len(part) else 0
-            if part[row - 1] == below:
-                continue
-            node = Node(row, part[row - 1], ci)
-            if _match(content(node, charge), e, i):
-                out.append(node)
-    out.sort(key=lambda nd: node_key(nd, charge))
-    return out
 
 
 def gamma_sequence(mp: Multipartition, charge: Charge) -> tuple[int, ...]:

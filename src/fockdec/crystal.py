@@ -20,29 +20,28 @@ in fockdec.reference.
 Adding the good addable node is injective with inverse "remove the good
 removable node", which makes the set of multipartitions reachable from the
 empty one a combinatorial component that this module generates rank by
-rank.  Its reverse edges carry each vertex's maximal good-node peeling
-word (CrystalGraph.peeling_words): the i-predecessor of a vertex is the
-vertex minus its good removable i-node, and epsilon is the length of the
-i-string back from it.
+rank.  It records each vertex's maximal good-node peeling word on the
+way (CrystalGraph.peeling_words): an edge adds a good node that is the
+good removable node of the vertex it reaches, so the merge pass already
+holds the key of every good removable node.  A vertex's word starts with
+the residue of the greatest of them and epsilon, the length of the
+i-string back along its i-predecessors, then goes on with the word of the
+vertex that string reaches.  At e=inf the residues to scan are the
+contents of the addable nodes, from the same i-node scan taken modulo 1.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 from .combinatorics import (
     Charge,
     Multipartition,
-    Node,
     add_boxes,
-    addable_nodes,
-    content,
     empty,
     format_multipartition,
     gamma_lex_sorted,
     i_nodes,
-    node_key,
 )
 
 __all__ = [
@@ -74,7 +73,8 @@ def residue_alphabet(mp: Multipartition, e: Optional[int], charge: Charge) -> li
     """Residues that could possibly carry a good addable node of mp."""
     if e is not None:
         return list(range(e))
-    return sorted({content(n, charge) for n in addable_nodes(mp, charge)})
+    # modulo 1 every node is a 0-node: one scan lists all addable nodes
+    return sorted({key[0] for key, _, _ in i_nodes(mp, charge, 1, 0)[0]})
 
 
 class CrystalGraph:
@@ -84,7 +84,8 @@ class CrystalGraph:
     ``edges`` maps (vertex, residue) to the vertex above it, ordered by
     source in layer order, then by ascending residue (generate_component
     inserts them so); to_json_obj and to_dot list them in that order.
-    Immutable; cached views go straight into the instance dict.
+    ``peeling_words`` maps every vertex to its maximal good-node peeling
+    word, as reference.peeling_sequence gives it.  Immutable.
     """
 
     e: Optional[int]
@@ -92,10 +93,12 @@ class CrystalGraph:
     max_rank: int
     layers: tuple[tuple[Multipartition, ...], ...]
     edges: dict[tuple[Multipartition, int], Multipartition]
+    peeling_words: dict[Multipartition, tuple[tuple[int, int], ...]]
 
-    def __init__(self, e, charge, max_rank, layers, edges):
+    def __init__(self, e, charge, max_rank, layers, edges, peeling_words):
         self.__dict__.update(
-            e=e, charge=charge, max_rank=max_rank, layers=layers, edges=edges
+            e=e, charge=charge, max_rank=max_rank, layers=layers, edges=edges,
+            peeling_words=peeling_words,
         )
 
     def __setattr__(self, name, value):
@@ -109,36 +112,6 @@ class CrystalGraph:
     def __contains__(self, mp: Multipartition) -> bool:
         r = sum(sum(c) for c in mp)
         return r <= self.max_rank and mp in self.layers[r]
-
-    @cached_property
-    def peeling_words(self) -> dict[Multipartition, tuple[tuple[int, int], ...]]:
-        """The maximal good-node peeling word of every vertex, off the edges.
-
-        Entries are (residue, multiplicity) pairs, first entry peeling the
-        vertex itself, as in reference.peeling_sequence.  A vertex's
-        i-predecessors are its good removable i-nodes taken away one at a
-        time, so the residue to peel is the one whose removed box is
-        greatest by node_key, epsilon is the length of the i-string back,
-        and the rest of the word is that of the vertex the string reaches.
-        Computed bottom-up, once per graph.
-        """
-        down: dict[Multipartition, dict[int, Multipartition]] = {}
-        for (src, i), dst in self.edges.items():
-            down.setdefault(dst, {})[i] = src
-        words = {self.layers[0][0]: ()}
-        for layer in self.layers[1:]:
-            for mp in layer:
-                preds = down[mp]
-                i = max(
-                    preds,
-                    key=lambda r: node_key(_removed_box(mp, preds[r]), self.charge),
-                )
-                cur, u = mp, 0
-                while i in down.get(cur, ()):
-                    cur = down[cur][i]
-                    u += 1
-                words[mp] = ((i, u),) + words[cur]
-        return words
 
     def to_json_obj(self) -> dict:
         return {
@@ -172,34 +145,42 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-def _removed_box(upper: Multipartition, lower: Multipartition) -> Node:
-    """The one box of upper that lower lacks."""
-    comp = next(k for k, (a, b) in enumerate(zip(upper, lower)) if a != b)
-    a, b = upper[comp], lower[comp] + (0,)
-    row = next(r for r, part in enumerate(a) if part != b[r])
-    return Node(row + 1, a[row], comp + 1)
-
-
 def generate_component(e: Optional[int], charge: Charge, max_rank: int) -> CrystalGraph:
-    """Generate the component of the empty multipartition up to max_rank."""
+    """Generate the component of the empty multipartition up to max_rank,
+    with the peeling word of every vertex."""
     if max_rank < 0:
         raise ValueError(f"negative rank {max_rank}")
     layers = [[empty(len(charge))]]
     edges: dict[tuple[Multipartition, int], Multipartition] = {}
+    down: dict[Multipartition, dict[int, Multipartition]] = {}
+    words = {layers[0][0]: ()}
     for _ in range(max_rank):
-        nxt = set()
+        # new vertex -> (greatest good removable node key, its residue)
+        peel: dict[Multipartition, tuple[tuple[int, int], int]] = {}
         for mp in layers[-1]:
             for i in residue_alphabet(mp, e, charge):
                 good = _good_addable(*i_nodes(mp, charge, e, i))
                 if good is not None:
                     up = add_boxes(mp, [good[1:]])
                     edges[(mp, i)] = up
-                    nxt.add(up)
-        layers.append(gamma_lex_sorted(nxt, charge))
+                    down.setdefault(up, {})[i] = mp
+                    best = peel.get(up)
+                    if best is None or best[0] < good[0]:
+                        peel[up] = (good[0], i)
+        layer = gamma_lex_sorted(peel, charge)
+        for mp in layer:
+            i = peel[mp][1]
+            cur, u = mp, 0
+            while i in down.get(cur, ()):
+                cur = down[cur][i]
+                u += 1
+            words[mp] = ((i, u),) + words[cur]
+        layers.append(layer)
     return CrystalGraph(
         e=e,
         charge=charge,
         max_rank=max_rank,
         layers=tuple(map(tuple, layers)),
         edges=edges,
+        peeling_words=words,
     )

@@ -4,16 +4,21 @@ No command runs this module, and no other module of the package imports
 it; the tests and the doctests do.  Each route recomputes a result of the
 runtime another way:
 
+- the Node toolkit (Node, content, residue, node_key, node_less,
+  add_node, remove_node, addable_nodes, removable_nodes) states the
+  residue rule and the node order on (row, col, comp) triples, where the
+  runtime reads node keys and positions off the one scan
+  combinatorics.i_nodes; the routes below are built on it;
 - the good-node signature rule (signature_blocks and the functions built
   on it) writes the addable and removable i-nodes as one word and cancels
   removable-addable pairs; crystal.generate_component finds the same good
   nodes by a merge pass over combinatorics.i_nodes;
 - peeling_sequence reads a vertex's maximal good-node peeling word off
   signatures, one good removable node at a time, where canonical_basis
-  reads it off the crystal graph (CrystalGraph.peeling_words); build_A
-  applies it, and brute_force_basis solves for the canonical basis
-  coordinate-wise in the span of the peeling monomials, reusing no basis
-  vector;
+  reads the words crystal.generate_component records while it generates
+  the graph (CrystalGraph.peeling_words); build_A applies it, and
+  brute_force_basis solves for the canonical basis coordinate-wise in the
+  span of the peeling monomials, reusing no basis vector;
 - back_substitution_oracle solves dinf * X = de on the dense tables, where
   factorize.extract_relative strips support terms basis vector by basis
   vector;
@@ -34,25 +39,16 @@ Node(row=1, col=1, comp=2)
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .canonical import PeelingUnitriangularityViolated, apply_peeling, apply_peelings
 from .combinatorics import (
     Charge,
     InvariantViolated,
     Multipartition,
-    Node,
-    _match,
-    add_node,
-    addable_nodes,
-    content,
     empty,
     format_multipartition,
     gamma_sequence,
-    node_key,
-    remove_node,
-    removable_nodes,
-    residue,
 )
 from .crystal import generate_component
 from .factorize import PolyMatrix
@@ -60,6 +56,15 @@ from .fock import FockVector, apply_f
 from .laurent import ONE, ZERO, LaurentPoly, bar_symmetric_part, exact_div
 
 __all__ = [
+    "Node",
+    "content",
+    "residue",
+    "node_key",
+    "node_less",
+    "add_node",
+    "remove_node",
+    "addable_nodes",
+    "removable_nodes",
     "NotInCrystal",
     "InvalidPair",
     "InconsistentSystem",
@@ -94,6 +99,120 @@ class InvalidPair(ValueError):
 
 class InconsistentSystem(RuntimeError):
     """Back substitution left a nonzero residual."""
+
+
+# -- the Node toolkit: nodes as (row, col, comp) triples ----------------
+
+
+class Node(NamedTuple):
+    row: int
+    col: int
+    comp: int
+
+
+def add_node(mp: Multipartition, node: Node) -> Multipartition:
+    """Insert one box; the position must be addable."""
+    row, col, comp = node
+    part = mp[comp - 1]
+    if row == len(part) + 1:
+        if col != 1:
+            raise ValueError(f"{node} is not addable on {mp}")
+        new = part + (1,)
+    else:
+        if not (1 <= row <= len(part)) or col != part[row - 1] + 1:
+            raise ValueError(f"{node} is not addable on {mp}")
+        if row > 1 and part[row - 2] < col:
+            raise ValueError(f"{node} is not addable on {mp}")
+        new = part[: row - 1] + (col,) + part[row:]
+    return mp[: comp - 1] + (new,) + mp[comp:]
+
+
+def remove_node(mp: Multipartition, node: Node) -> Multipartition:
+    """Delete one box; the position must be removable."""
+    row, col, comp = node
+    part = mp[comp - 1]
+    if not (1 <= row <= len(part)) or col != part[row - 1]:
+        raise ValueError(f"{node} is not removable on {mp}")
+    if row < len(part) and part[row] >= col:
+        raise ValueError(f"{node} is not removable on {mp}")
+    if col == 1:
+        new = part[: row - 1] + part[row:]
+    else:
+        new = part[: row - 1] + (col - 1,) + part[row:]
+    return mp[: comp - 1] + (new,) + mp[comp:]
+
+
+def content(node: Node, charge: Charge) -> int:
+    return node.col - node.row + charge[node.comp - 1]
+
+
+def residue(c: int, e: Optional[int]) -> int:
+    """Reduce a content mod e; with no modulus the content stands."""
+    return c if e is None else c % e
+
+
+def node_key(node: Node, charge: Charge) -> tuple[int, int]:
+    """Sort key for the node order: content first, then component index."""
+    return (content(node, charge), node.comp)
+
+
+def node_less(a: Node, b: Node, charge: Charge) -> bool:
+    """Strict node order used in all operator exponent counts.
+
+    >>> node_less(Node(1, 1, 1), Node(1, 1, 2), (0, 0))
+    True
+    """
+    return node_key(a, charge) < node_key(b, charge)
+
+
+def _match(c: int, e: Optional[int], i: Optional[int]) -> bool:
+    """The residue rule: content c has residue i (every c when i is None)."""
+    if i is None:
+        return True
+    if e is None:
+        return c == i
+    return (c - i) % e == 0
+
+
+def addable_nodes(
+    mp: Multipartition, charge: Charge, e: Optional[int] = None, i: Optional[int] = None
+) -> list[Node]:
+    """Addable nodes, optionally filtered to residue i, ascending in the node order.
+
+    >>> addable_nodes(((1,), ()), (0, 0), 2, 0)
+    [Node(row=1, col=1, comp=2)]
+    >>> addable_nodes(((1,), ()), (0, 0), 2, 1)
+    [Node(row=2, col=1, comp=1), Node(row=1, col=2, comp=1)]
+    """
+    out = []
+    for ci, part in enumerate(mp, start=1):
+        for row in range(1, len(part) + 2):
+            here = part[row - 1] if row <= len(part) else 0
+            above = part[row - 2] if row >= 2 else None
+            if above is not None and above <= here:
+                continue
+            node = Node(row, here + 1, ci)
+            if _match(content(node, charge), e, i):
+                out.append(node)
+    out.sort(key=lambda nd: node_key(nd, charge))
+    return out
+
+
+def removable_nodes(
+    mp: Multipartition, charge: Charge, e: Optional[int] = None, i: Optional[int] = None
+) -> list[Node]:
+    """Removable nodes, optionally filtered to residue i, ascending in the node order."""
+    out = []
+    for ci, part in enumerate(mp, start=1):
+        for row in range(1, len(part) + 1):
+            below = part[row] if row < len(part) else 0
+            if part[row - 1] == below:
+                continue
+            node = Node(row, part[row - 1], ci)
+            if _match(content(node, charge), e, i):
+                out.append(node)
+    out.sort(key=lambda nd: node_key(nd, charge))
+    return out
 
 
 # -- the signature rule and the peeling words it gives -------------------

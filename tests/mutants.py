@@ -1,0 +1,166 @@
+"""A catalogue of mutants that the test suite must kill.
+
+Each row names one small change to the source, the test files that must
+catch it, and the claim those tests back.  The runner copies ``src/`` and
+``tests/`` to a temporary directory, checks that the unmutated copy passes
+every named test file, then, one mutant at a time, requires the old text
+exactly once in its file, applies the change, runs ``pytest -x -q`` on the
+mutant's test files in one subprocess, and requires a test failure.
+
+Run from anywhere::
+
+    python tests/mutants.py
+
+Pytest does not collect this file (its name does not match test_*.py).
+A mutant that survives is a finding: keep its row and add the test that
+kills it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/fockdec
+    old: str
+    new: str
+    tests: tuple[str, ...]  # relative to tests/
+    claim: str
+
+
+MUTANTS = [
+    Mutant(
+        "single-exponents-off-by-one",
+        "fock.py",
+        "out[pos] = (len(adds) - pos - 1) - (len(rems) - j)",
+        "out[pos] = (len(adds) - pos) - (len(rems) - j)",
+        ("test_fock.py",),
+        "f_i's exponents count the addable minus removable i-nodes above the new box",
+    ),
+    Mutant(
+        "reduce-skips-correction",
+        "canonical.py",
+        "        if not offenders:\n            return x, corrections\n",
+        "        if True:\n            return x, corrections\n",
+        ("test_canonical.py",),
+        "the elimination pass leaves every off-diagonal coefficient in v*Z[v]",
+    ),
+    Mutant(
+        "transition-table-without-u",
+        "fock.py",
+        "key = (mp, i, u)",
+        "key = (mp, i)",
+        ("test_canonical.py",),
+        "the transition table keeps the moves of each divided power f_i^(u) apart",
+    ),
+    Mutant(
+        "good-addable-without-cancelling",
+        "crystal.py",
+        "        if pending:\n            pending -= 1\n        else:\n            good = add\n",
+        "        good = add\n",
+        ("test_crystal.py",),
+        "the merge pass cancels removable-addable pairs like the signature rule",
+    ),
+    Mutant(
+        "prefix-sums-without-first-entry",
+        "combinatorics.py",
+        "    if all(map(ge, a, b)):\n"
+        "        return Ordering.EQUAL if a == b else Ordering.GREATER\n"
+        "    return Ordering.LESS if all(map(le, a, b)) else Ordering.INCOMPARABLE\n",
+        "    if all(map(ge, a[1:], b[1:])):\n"
+        "        return Ordering.EQUAL if a == b else Ordering.GREATER\n"
+        "    return Ordering.LESS if all(map(le, a[1:], b[1:])) else Ordering.INCOMPARABLE\n",
+        ("test_combinatorics.py",),
+        "dominance compares every prefix sum of the gamma sequences",
+    ),
+    Mutant(
+        "extract-relative-takes-max",
+        "factorize.py",
+        "mu = min(resid.entries, key=position.__getitem__)",
+        "mu = max(resid.entries, key=position.__getitem__)",
+        ("test_factorize.py",),
+        "extraction strips the gamma-greatest support term first",
+    ),
+    Mutant(
+        "crystal-least-good-key",
+        "crystal.py",
+        "if best is None or best[0] < good[0]:",
+        "if best is None or best[0] > good[0]:",
+        ("test_canonical.py",),
+        "a peeling word starts with the residue of the greatest good removable node",
+    ),
+]
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *(str(copy / "tests" / t) for t in tests)],
+        cwd=copy,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def run(mutants: list[Mutant]) -> int:
+    """Run the catalogue; return the number of problems (0 when all are killed)."""
+    problems = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        files = tuple(sorted({t for m in mutants for t in m.tests}))
+        proc = _pytest(copy, files)
+        if proc.returncode != 0:
+            print(f"unmutated copy fails {' '.join(files)}:\n{proc.stdout}{proc.stderr}")
+            return 1
+        for m in mutants:
+            path = copy / "src" / "fockdec" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE    {m.name}: old text found {text.count(m.old)} times in {m.file}")
+                problems += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                proc = _pytest(copy, m.tests)
+            finally:
+                path.write_text(text)
+            took = time.perf_counter() - start
+            # pytest exits 1 when tests ran and some failed; 2-5 mean no verdict
+            if proc.returncode == 1:
+                killer = next(
+                    (ln.split()[1] for ln in proc.stdout.splitlines() if ln.startswith("FAILED ")),
+                    "?",
+                )
+                print(f"killed   {m.name} ({took:.1f} s) by {killer.rpartition('/')[2]}")
+            else:
+                print(f"SURVIVED {m.name} (pytest exit {proc.returncode}): {m.claim}")
+                problems += 1
+    return problems
+
+
+def main() -> int:
+    start = time.perf_counter()
+    problems = run(MUTANTS)
+    print(f"{len(MUTANTS)} mutants, {problems} problems, {time.perf_counter() - start:.1f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

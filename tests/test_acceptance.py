@@ -16,12 +16,10 @@ from fockdec.canonical import apply_peeling, canonical_basis
 from fockdec.cli import main as cli_main
 from fockdec.combinatorics import (
     Ordering,
-    addable_nodes,
     compare_dominance,
     enumerate_multipartitions,
     gamma_sequence,
     parse_multipartition,
-    removable_nodes,
 )
 from fockdec.crystal import generate_component
 from fockdec.factorize import (
@@ -34,11 +32,13 @@ from fockdec.factorize import (
 from fockdec.fock import apply_f, apply_f_divided, basis_vector
 from fockdec.laurent import ONE, ZERO, qint
 from fockdec.reference import (
+    addable_nodes,
     apply_e,
     back_substitution_oracle,
     brute_force_basis,
     check_compatibility,
     peeling_sequence,
+    removable_nodes,
 )
 
 # level -> charges exercised by the factorization sweep

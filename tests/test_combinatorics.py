@@ -10,15 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockdec.combinatorics import (
-    Node,
     Ordering,
     RankMismatch,
     add_boxes,
-    add_node,
-    addable_nodes,
     compare_dominance,
     compare_prefix_sums,
-    content,
     empty,
     enumerate_multipartitions,
     format_multipartition,
@@ -26,12 +22,18 @@ from fockdec.combinatorics import (
     gamma_prefix_sums,
     gamma_sequence,
     i_nodes,
-    node_key,
-    node_less,
     parse_charge,
     parse_multipartition,
     partitions,
     rank,
+)
+from fockdec.reference import (
+    Node,
+    add_node,
+    addable_nodes,
+    content,
+    node_key,
+    node_less,
     removable_nodes,
     remove_node,
     residue,
@@ -157,6 +159,10 @@ def test_residue_filters_follow_the_one_residue_rule(case):
         assert scan_rems == [node_key(n, charge) for n in want_rems]
         for (_, ci, r), n in zip(scan_adds, want_adds):
             assert add_boxes(lam, [(ci, r)]) == add_node(lam, n)
+    # modulo 1 every node is a 0-node: the scan lists them all, in node order
+    all_adds, all_rems = i_nodes(lam, charge, 1, 0)
+    assert all_adds == [(node_key(n, charge), n.comp - 1, n.row - 1) for n in adds]
+    assert all_rems == [node_key(n, charge) for n in rems]
 
 
 def test_addable_removable_fixtures():

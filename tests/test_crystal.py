@@ -12,21 +12,21 @@ import fockdec.combinatorics
 import fockdec.crystal
 import fockdec.reference
 from fockdec.combinatorics import (
-    Node,
     empty,
     format_multipartition,
     gamma_lex_sorted,
     i_nodes,
-    node_key,
     parse_multipartition,
     rank,
 )
 from fockdec.crystal import CrystalGraph, _good_addable, generate_component, residue_alphabet
 from fockdec.reference import (
+    Node,
     apply_good,
     epsilon,
     good_node,
     good_removable_node,
+    node_key,
     remove_good,
     signature_blocks,
 )
@@ -265,15 +265,15 @@ def test_merge_pass_finds_the_signature_good_node(case):
 
 
 def test_finite_e_generation_reads_no_node_lists(monkeypatch):
-    # at finite e the edges come from the i-node scan alone
+    # at finite e and at e=inf the edges and the words come from the i-node
+    # scan alone
     def refuse(*args):
         raise AssertionError("Node-based scan called")
 
-    for module, name in (
-        (fockdec.reference, "signature_blocks"),
-        (fockdec.crystal, "addable_nodes"),
-        (fockdec.combinatorics, "removable_nodes"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
-    g = generate_component(3, (0, 1), 5)
-    assert sum(map(len, g.layers)) > 1
+    for module in (fockdec.crystal, fockdec.combinatorics, fockdec.reference):
+        for name in ("addable_nodes", "removable_nodes", "signature_blocks"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for e in (3, None):
+        g = generate_component(e, (0, 1), 5)
+        assert sum(map(len, g.layers)) > 1
+        assert len(g.peeling_words) == sum(map(len, g.layers))

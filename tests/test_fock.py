@@ -6,25 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockdec.combinatorics import (
-    Node,
-    add_node,
-    addable_nodes,
-    enumerate_multipartitions,
-    node_less,
-    parse_multipartition,
-    removable_nodes,
-)
+from fockdec.combinatorics import enumerate_multipartitions, parse_multipartition
 from fockdec.fock import FockVector, apply_f, apply_f_divided, basis_vector
 from fockdec.laurent import ONE, ZERO, LaurentPoly, qfactorial, qint
 from fockdec.reference import (
     InvalidPair,
+    Node,
     NodeCounts,
+    add_node,
+    addable_nodes,
     apply_e,
     apply_t,
     check_compatibility,
     compatibility_rhs_f,
     count_N,
+    node_less,
+    removable_nodes,
 )
 
 VAC2 = basis_vector(((), ()), (0, 0))
