@@ -68,15 +68,15 @@ __all__ = [
 ]
 
 
-class PeelingUnitriangularityViolated(RuntimeError):
+class PeelingUnitriangularityViolated(InvariantViolated):
     """A reduced vector failed to have unit coefficient at its label."""
 
 
-class MissingPredecessor(RuntimeError):
+class MissingPredecessor(InvariantViolated):
     """Elimination needs a basis vector at a label that is not a vertex."""
 
 
-class OrderViolation(RuntimeError):
+class OrderViolation(InvariantViolated):
     """Basis vectors depend on each other in a cycle."""
 
 

@@ -19,10 +19,12 @@ is reported before a tripped guard.
 
 Exit codes: 0 success (factorize: all checks pass), 1 a verification
 check failed or an internal consistency check raised (one line on stderr,
-``fockdec: <ExceptionName>: <message>``), 2 usage error, 3 a size guard
-tripped or the bead cut was too small.  Output is deterministic:
-identical invocations produce byte-identical bytes.  ``main`` may be called repeatedly in one process;
-it builds its parser on the first call and reuses it.
+``fockdec: <ExceptionName>: <message>``; every such check raises a
+subclass of combinatorics.InvariantViolated), 2 usage error, 3 a size
+guard tripped or the bead cut was too small.  Output is deterministic:
+identical invocations produce byte-identical bytes.  ``main`` may be
+called repeatedly in one process; it builds its parser on the first call
+and reuses it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ import sys
 from typing import Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
-from .canonical import (
-    MissingPredecessor,
-    OrderViolation,
-    PeelingUnitriangularityViolated,
-    canonical_basis,
-)
+from .canonical import canonical_basis
 from .combinatorics import (
     Charge,
     InvariantViolated,
@@ -51,8 +48,6 @@ from .combinatorics import (
 )
 from .crystal import generate_component
 from .factorize import (
-    NonTermination,
-    NotInBInfinity,
     PolyMatrix,
     all_pass,
     append_matrix_json,
@@ -76,16 +71,6 @@ __all__ = [
 ]
 
 GUARD_DEFAULT = 12
-
-# raised only when the construction contradicts itself; exit code 1
-INTERNAL_FAILURES = (
-    OrderViolation,
-    PeelingUnitriangularityViolated,
-    MissingPredecessor,
-    InvariantViolated,
-    NotInBInfinity,
-    NonTermination,
-)
 
 
 def _out(text: str) -> None:
@@ -455,7 +440,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _dispatch(args)
-    except INTERNAL_FAILURES as exc:
+    except InvariantViolated as exc:
+        # raised only when the construction contradicts itself; exit code 1
         first = (str(exc).splitlines() or [""])[0]
         return _fail(f"{type(exc).__name__}: {first}", 1)
 

@@ -64,7 +64,11 @@ class RankMismatch(ValueError):
 
 
 class InvariantViolated(RuntimeError):
-    """A computation reached a state that its invariants rule out."""
+    """A computation reached a state that its invariants rule out.
+
+    Every internal consistency check raises this or a subclass naming the
+    check, so the CLI reports all of them as exit 1 with one except clause.
+    """
 
 
 class Ordering(enum.Enum):

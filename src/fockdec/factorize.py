@@ -29,6 +29,7 @@ from functools import cached_property
 from .canonical import CanonicalBasisSet
 from .combinatorics import (
     Charge,
+    InvariantViolated,
     Multipartition,
     Ordering,
     compare_prefix_sums,
@@ -53,11 +54,11 @@ __all__ = [
 ]
 
 
-class NotInBInfinity(RuntimeError):
+class NotInBInfinity(InvariantViolated):
     """A support term survived that is not a no-modulus basis label."""
 
 
-class NonTermination(RuntimeError):
+class NonTermination(InvariantViolated):
     """Column extraction exceeded the rank-layer size.
 
     That happens only if a no-modulus basis vector is not unitriangular,
@@ -133,9 +134,7 @@ class PolyMatrix:
             acc: dict[int, LaurentPoly] = {}
             for k, a in left:
                 for j, b in right[k]:
-                    p = a * b
-                    got = acc.get(j)
-                    acc[j] = p if got is None else got + p
+                    acc[j] = acc.get(j, ZERO).add_product(a, b)
             rows.append(tuple((j, p) for j, p in sorted(acc.items()) if p.coeffs))
         return PolyMatrix(self.row_labels, other.col_labels, tuple(rows))
 

@@ -3,8 +3,8 @@
 Vectors are finite Z[v, 1/v]-combinations of multipartitions of a fixed
 level and charge.  The raising operator f_i inserts one box of residue i and
 weights each insertion by v to the count of addable i-nodes above the new
-box minus removable i-nodes above it in the result.  The modulus is e >= 2 or None; apply_f and apply_f_divided raise ValueError
-for e < 2.
+box minus removable i-nodes above it in the result.  The modulus is e >= 2
+or None; apply_f and apply_f_divided raise ValueError for e < 2.
 
 Both raising operators work from one scan of each source multipartition:
 a box of residue i changes addable and removable nodes only at residues
@@ -17,7 +17,7 @@ from one multipartition go into a transition table keyed by
 one charge and e (canonical.apply_peelings) computes them once per key;
 apply_f_divided uses a fresh table on every call.  The contributions to
 each target are collected and summed once, and FockVector.sub_scaled forms
-the elimination step x - m*g in one pass.
+the elimination step x - m*g in one pass; x + y is x.sub_scaled(y, -1).
 
 With e=None the same formulas run on raw contents instead of residues:
 that is the large-rank limit in which every content class is its own
@@ -43,7 +43,7 @@ from .combinatorics import (
     gamma_lex_sorted,
     i_nodes,
 )
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import MINUS_ONE, ONE, ZERO, LaurentPoly
 
 __all__ = [
     "FockVector",
@@ -85,12 +85,7 @@ class FockVector:
         return not self.entries
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        self._check(other)
-        out = dict(self.entries)
-        for mp, c in other.entries.items():
-            got = out.get(mp)
-            out[mp] = c if got is None else got + c
-        return FockVector(self.charge, out)
+        return self.sub_scaled(other, MINUS_ONE)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self.sub_scaled(other, ONE)

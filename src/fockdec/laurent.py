@@ -12,7 +12,13 @@ bar-symmetric truncation used by basis eliminations all live here.
 >>> str(qint(3) * qint(2))
 'v^-3 + 2*v^-1 + 2*v + v^3'
 
-Coefficients are arbitrary-precision Python ints.
+Coefficients are arbitrary-precision Python ints.  Every sum, difference
+and product of two polynomials goes through one multiply-add loop,
+LaurentPoly.add_product (self + p*q in one buffer): + and - multiply by
+ONE and MINUS_ONE, and * starts from ZERO.  The one other accumulation
+loop is the n-ary LaurentPoly.sum_shifted, which the Fock operators use
+to add every shifted contribution to one target in a single buffer
+instead of one buffer per term.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "KERNEL",
     "ZERO",
     "ONE",
+    "MINUS_ONE",
     "V",
     "qint",
     "qfactorial",
@@ -132,25 +139,10 @@ class LaurentPoly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._combine(other, 1)
+        return self.add_product(other, ONE)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other, formed in one buffer (sign is 1 or -1)."""
-        ac, bc = self.coeffs, other.coeffs
-        if not bc:
-            return self
-        if not ac:
-            return other.shift(0, sign)
-        lo = min(self.val, other.val)
-        out = [0] * (max(self.val + len(ac), other.val + len(bc)) - lo)
-        a = self.val - lo
-        out[a : a + len(ac)] = ac
-        for k, x in enumerate(bc, other.val - lo):
-            out[k] += sign * x
-        return _normal(lo, out)
+        return self.add_product(other, MINUS_ONE)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.val, tuple(-x for x in self.coeffs))
@@ -160,17 +152,7 @@ class LaurentPoly:
             return self.shift(0, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        ac, bc = self.coeffs, other.coeffs
-        if not ac or not bc:
-            return ZERO
-        out = [0] * (len(ac) + len(bc) - 1)
-        for k, x in enumerate(ac):
-            if x:
-                for j, y in enumerate(bc, k):
-                    if y:
-                        out[j] += x * y
-        # ends are products of nonzero ints, so no trim needed
-        return LaurentPoly(self.val + other.val, tuple(out))
+        return ZERO.add_product(self, other)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
@@ -178,25 +160,34 @@ class LaurentPoly:
     def add_product(self, p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
         """self + p * q, formed in one buffer.
 
+        The one two-operand accumulation loop: + is add_product(other, ONE),
+        - is add_product(other, MINUS_ONE) and * is ZERO.add_product(p, q).
+        An empty self skips the trim, since the ends of a bare product are
+        products of nonzero ints.
+
         >>> ONE.add_product(V, V) == ONE + V * V
         True
         """
-        pc, qc = p.coeffs, q.coeffs
+        pc, qc, sc = p.coeffs, q.coeffs, self.coeffs
         if not pc or not qc:
             return self
-        sc = self.coeffs
-        if not sc:
-            return p * q
         pv = p.val + q.val
-        lo = min(self.val, pv)
-        out = [0] * (max(self.val + len(sc), pv + len(pc) + len(qc) - 1) - lo)
-        a = self.val - lo
-        out[a : a + len(sc)] = sc
+        hi = pv + len(pc) + len(qc) - 1
+        if sc:
+            lo = min(self.val, pv)
+            out = [0] * (max(self.val + len(sc), hi) - lo)
+            a = self.val - lo
+            out[a : a + len(sc)] = sc
+        else:
+            lo = pv
+            out = [0] * (hi - lo)
         for k, x in enumerate(pc, pv - lo):
             if x:
                 for j, y in enumerate(qc, k):
                     if y:
                         out[j] += x * y
+        if not sc:
+            return LaurentPoly(lo, tuple(out))
         return _normal(lo, out)
 
     def shift(self, exp: int, coeff: int = 1) -> "LaurentPoly":
@@ -210,6 +201,9 @@ class LaurentPoly:
     @staticmethod
     def sum_shifted(terms: Iterable[tuple["LaurentPoly", int]]) -> "LaurentPoly":
         """The sum of p * v**k over the (p, k) pairs, formed in one buffer.
+
+        The n-ary sum: a chain of add_product calls would build one buffer
+        per term, this builds one for all of them.
 
         >>> LaurentPoly.sum_shifted([(ONE, 1), (V, 0), (-V, 2)]) == V * 2 - V * V * V
         True
@@ -274,6 +268,7 @@ class LaurentPoly:
 
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
+MINUS_ONE = LaurentPoly(0, (-1,))
 V = LaurentPoly(1, (1,))
 
 

@@ -1,15 +1,19 @@
 """A catalogue of mutants that the test suite must kill.
 
 Each row names one small change to the source, the test files that must
-catch it, and the claim those tests back.  The runner copies ``src/`` and
-``tests/`` to a temporary directory, checks that the unmutated copy passes
-every named test file, then, one mutant at a time, requires the old text
-exactly once in its file, applies the change, runs ``pytest -x -q`` on the
-mutant's test files in one subprocess, and requires a test failure.
+catch it, and the claim those tests back.  The runner copies ``src/``,
+``tests/`` and README.md to a temporary directory, checks that the
+unmutated copy passes every named test file, then, one mutant at a time,
+requires the old text exactly once in its file, applies the change, runs
+``pytest -x -q`` on the mutant's test files in one subprocess, and
+requires a test failure.
 
 Run from anywhere::
 
     python tests/mutants.py
+
+Each report line names the side a mutant hits: the runtime, or the
+tests-only cross-checks in reference.py.
 
 Pytest does not collect this file (its name does not match test_*.py).
 A mutant that survives is a finding: keep its row and add the test that
@@ -37,6 +41,11 @@ class Mutant(NamedTuple):
     new: str
     tests: tuple[str, ...]  # relative to tests/
     claim: str
+
+    @property
+    def side(self) -> str:
+        """The code the mutant hits: the runtime, or the tests-only cross-checks."""
+        return "reference" if self.file == "reference.py" else "runtime"
 
 
 MUTANTS = [
@@ -100,6 +109,31 @@ MUTANTS = [
         ("test_canonical.py",),
         "a peeling word starts with the residue of the greatest good removable node",
     ),
+    Mutant(
+        "add-product-never-trims",
+        "laurent.py",
+        "        if not sc:\n            return LaurentPoly(lo, tuple(out))\n"
+        "        return _normal(lo, out)\n",
+        "        return LaurentPoly(lo, tuple(out))\n",
+        ("test_laurent.py",),
+        "every sum and difference comes back in normal form, with nonzero ends",
+    ),
+    Mutant(
+        "difference-adds",
+        "laurent.py",
+        "return self.add_product(other, MINUS_ONE)",
+        "return self.add_product(other, ONE)",
+        ("test_laurent.py",),
+        "a - b multiplies b by MINUS_ONE in the one multiply-add loop",
+    ),
+    Mutant(
+        "reference-residue-of-absolute-content",
+        "reference.py",
+        "return c if e is None else c % e",
+        "return c if e is None else abs(c) % e",
+        ("test_combinatorics.py",),
+        "the reference residue of a negative content is its class mod e",
+    ),
 ]
 
 
@@ -123,6 +157,8 @@ def run(mutants: list[Mutant]) -> int:
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
         shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        # test_cli.py reads the README's command lines
+        shutil.copy2(ROOT / "README.md", copy / "README.md")
         files = tuple(sorted({t for m in mutants for t in m.tests}))
         proc = _pytest(copy, files)
         if proc.returncode != 0:
@@ -132,7 +168,7 @@ def run(mutants: list[Mutant]) -> int:
             path = copy / "src" / "fockdec" / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
-                print(f"STALE    {m.name}: old text found {text.count(m.old)} times in {m.file}")
+                print(f"STALE    {m.name} [{m.side}]: old text found {text.count(m.old)} times in {m.file}")
                 problems += 1
                 continue
             path.write_text(text.replace(m.old, m.new))
@@ -148,9 +184,9 @@ def run(mutants: list[Mutant]) -> int:
                     (ln.split()[1] for ln in proc.stdout.splitlines() if ln.startswith("FAILED ")),
                     "?",
                 )
-                print(f"killed   {m.name} ({took:.1f} s) by {killer.rpartition('/')[2]}")
+                print(f"killed   {m.name} [{m.side}] ({took:.1f} s) by {killer.rpartition('/')[2]}")
             else:
-                print(f"SURVIVED {m.name} (pytest exit {proc.returncode}): {m.claim}")
+                print(f"SURVIVED {m.name} [{m.side}] (pytest exit {proc.returncode}): {m.claim}")
                 problems += 1
     return problems
 

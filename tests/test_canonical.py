@@ -12,6 +12,7 @@ from fockdec.canonical import (
     CanonicalBasisSet,
     InvariantViolated,
     MissingPredecessor,
+    OrderViolation,
     PeelingUnitriangularityViolated,
     apply_peeling,
     apply_peelings,
@@ -275,8 +276,10 @@ def test_brute_force_checks_hold_without_asserts(monkeypatch):
         return [x.scale(LaurentPoly(0, (2,))) for x in apply(seqs, e, charge)]
 
     monkeypatch.setattr(fockdec.reference, "apply_peelings", doubled)
-    with pytest.raises(InvariantViolated):
+    with pytest.raises(InvariantViolated) as info:
         brute_force_basis(2, (0,), 2)
+    # a subclass would mean a different check fired
+    assert type(info.value) is InvariantViolated
 
 
 def test_nontrivial_correction_regression():
@@ -336,5 +339,6 @@ def test_basis_set_is_frozen():
 
 
 def test_missing_predecessor_error_type():
-    assert issubclass(MissingPredecessor, RuntimeError)
-    assert issubclass(PeelingUnitriangularityViolated, RuntimeError)
+    for exc_type in (MissingPredecessor, PeelingUnitriangularityViolated, OrderViolation):
+        assert issubclass(exc_type, InvariantViolated)
+        assert issubclass(exc_type, RuntimeError)

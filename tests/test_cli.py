@@ -6,8 +6,10 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -658,3 +660,39 @@ def test_main_gives_an_exit_code_for_any_small_input(argv):
     if rc != 0:
         assert err, argv
     assert _captured_main(argv) == (rc, out, err), argv
+
+
+# -- the README's command lines --------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text()
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_readme_command_lines_run_cleanly(capsys):
+    section = _readme_section("Command line")
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("fockdec ")]
+    assert len(lines) == 6, lines
+    for line in lines:
+        rc, out, err = run(capsys, *shlex.split(line)[1:])
+        assert (rc, err) == (0, ""), line
+        assert out, line
+    # the stated usage error comes before the tripped guard
+    prose = " ".join(section.split())
+    stated = re.search(r"before a tripped guard \(3\): `([^`]+)` exits 2", prose)
+    assert stated, "the exit-2 example is gone from the README"
+    rc, out, err = run(capsys, *shlex.split(stated.group(1)))
+    assert (rc, out) == (2, "")
+    assert err == "fockdec: crystal cannot be written as csv\n"
+    # a negative charge after a space or an equals sign: the same result
+    assert "(`--charge -2,-2`)" in prose and "(`--charge=-2,-2`)" in prose
+    base = ["canonical", "--e", "2", "--rank", "3", "--format", "csv"]
+    spaced = run(capsys, *base, "--charge", "-2,-2")
+    joined = run(capsys, *base, "--charge=-2,-2")
+    assert spaced == joined and spaced[0] == 0 and spaced[1]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fockdec.canonical import canonical_basis
 from fockdec.combinatorics import (
+    InvariantViolated,
     Ordering,
     compare_dominance,
     format_multipartition,
@@ -573,6 +574,7 @@ def test_matrix_json_formats_each_distinct_cell_once(monkeypatch, render):
 
 
 def test_error_types():
-    assert issubclass(NotInBInfinity, RuntimeError)
-    assert issubclass(NonTermination, RuntimeError)
+    for exc_type in (NotInBInfinity, NonTermination):
+        assert issubclass(exc_type, InvariantViolated)
+        assert issubclass(exc_type, RuntimeError)
     assert issubclass(InconsistentSystem, RuntimeError)

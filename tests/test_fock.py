@@ -288,3 +288,6 @@ def test_fused_step_is_the_scaled_difference(case):
     assert all(not c.is_zero() for c in got.entries.values())
     # the inputs are left as they were
     assert x == g.scale(m) + rest
+    # vector + is itself a sub_scaled call, so x is also checked entry by entry
+    for mu in set(g.entries) | set(rest.entries):
+        assert x.coeff(mu) == g.coeff(mu) * m + rest.coeff(mu)

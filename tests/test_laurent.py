@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fockdec import laurent
 from fockdec.laurent import (
+    MINUS_ONE,
     ONE,
     V,
     ZERO,
@@ -43,6 +44,7 @@ def test_zero_and_one_normal_forms():
     assert poly((3, 0), (5, 0)) == ZERO
     assert poly((0, 1)) == ONE
     assert V == poly((1, 1))
+    assert MINUS_ONE == -ONE == poly((0, -1))
 
 
 def test_from_terms_merges_duplicate_exponents():
@@ -225,8 +227,11 @@ small_polys = laurent_polys | st.builds(
 )
 @settings(max_examples=300, deadline=None)
 def test_one_buffer_forms_match_the_dict_reference(a, b, c, shifted):
+    # _terms also requires every result in normal form: empty, or nonzero ends
     ta, tb, tc = _terms(a), _terms(b), _terms(c)
     assert _terms(a.add_product(b, c)) == _ref_add(ta, _ref_mul(tb, tc))
+    # an empty self is the bare product, built without the trim
+    assert _terms(ZERO.add_product(b, c)) == _ref_mul(tb, tc)
     want: dict[int, int] = {}
     for p, k in shifted:
         want = _ref_add(want, _ref_mul(_terms(p), {k: 1}))
