@@ -80,15 +80,18 @@ def _out(text: str) -> None:
 def _out_json(fields: dict) -> None:
     """Write ``json.dumps(fields, indent=2)`` plus a newline, byte for byte.
 
-    PolyMatrix values are written by append_matrix_json; the whole document
-    is collected as pieces and joined once.
+    PolyMatrix values are written by append_matrix_json, sharing one
+    label -> JSON string map, so a label that heads rows or columns of
+    several matrices is formatted once; the whole document is collected as
+    pieces and joined once.
     """
     parts = []
+    quoted: dict = {}
     sep = "{\n  "
     for key, value in fields.items():
         parts.append(sep + json.dumps(key) + ": ")
         if isinstance(value, PolyMatrix):
-            append_matrix_json(parts, value, depth=1)
+            append_matrix_json(parts, value, depth=1, quoted=quoted)
         else:
             parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
         sep = ",\n  "

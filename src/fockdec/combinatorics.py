@@ -54,6 +54,7 @@ __all__ = [
     "gamma_prefix_sums",
     "compare_prefix_sums",
     "compare_dominance",
+    "gamma_keys",
     "gamma_lex_sorted",
     "enumerate_multipartitions",
 ]
@@ -123,7 +124,7 @@ def parse_multipartition(text: str) -> Multipartition:
 
 
 def format_multipartition(mp: Multipartition) -> str:
-    return "|".join(".".join(str(p) for p in comp) if comp else "-" for comp in mp)
+    return "|".join([".".join(map(str, comp)) if comp else "-" for comp in mp])
 
 
 def parse_charge(text: str) -> Charge:
@@ -152,8 +153,8 @@ def i_nodes(
     reference._match states the residue rule the scan inlines.
 
     Modulo e=1 every node is a 0-node, so i_nodes(mp, charge, 1, 0) lists
-    every addable and every removable node of mp; the crystal reads the
-    residues to scan at e=inf from it.
+    every addable and every removable node of mp; at e=inf the crystal
+    reads each content's i-nodes from it as one run of each list.
 
     >>> i_nodes(((1,), ()), (0, 0), 2, 0)
     ([((0, 2), 1, 0)], [(0, 1)])
@@ -257,14 +258,84 @@ def compare_dominance(a: Multipartition, b: Multipartition, charge: Charge) -> O
     return order
 
 
+def gamma_keys(mps: list[Multipartition], charge: Charge) -> dict[Multipartition, int]:
+    """One int per multipartition, ordered as the gamma sequences are.
+
+    Keys from one call compare like the gamma_sequence tuples of their
+    multipartitions, each cut at its own rank; keys from different calls
+    do not compare.  A key is at most 2 * l * l * top bits wide, for top
+    the greatest rank, whatever the charge.  gamma_lex_sorted states why.
+    """
+    lv = len(charge)
+    ranks = []
+    for m in mps:
+        if len(m) != lv:
+            raise ValueError(f"level {len(m)} multipartition with level {lv} charge")
+        ranks.append(sum(map(sum, m)))
+    top = max(ranks, default=0)
+    # base[ci] is the bit of v = 0 in component ci; components in order of
+    # charge, each window joining the block of the last one if they overlap
+    base = [0] * lv
+    hi = None
+    for s, ci in sorted(zip(charge, range(lv))):
+        if hi is None or s - top > hi:
+            off = (0 if hi is None else hi + off + 1) - (s - top)
+        hi = s + top - 1
+        base[ci] = (s + off) * lv + ci
+    stride = (1 << lv) - 1
+    keys = {}
+    for m, n in zip(mps, ranks):
+        key = 0
+        for b, part in zip(base, m):
+            # row j (from 1) with part p is the bit b + (p - j) * lv
+            bit = b - lv
+            for p in part:
+                key |= 1 << (bit + p * lv)
+                bit -= lv
+            # the rows past the part, down to row n, are the bits from
+            # here down to b - n * lv, every lv-th one
+            low = b - n * lv
+            if bit >= low:
+                key |= ((1 << (bit - low + lv)) - 1) // stride << low
+        keys[m] = key
+    return keys
+
+
 def gamma_lex_sorted(mps: Iterable[Multipartition], charge: Charge) -> list[Multipartition]:
     """Sort by the gamma sequence, lexicographically descending.
 
     This is the deterministic total order used for matrix rows and columns:
     it refines the dominance order (a Greater comparison always sorts
     first), and puts incomparable pairs in a fixed, reproducible place.
+    The result equals sorted(mps, key=gamma_sequence, reverse=True), each
+    multipartition's sequence cut at its own rank, and mismatched levels
+    raise ValueError the same way.
+
+    The sort key is one int per multipartition (gamma_keys).  A gamma
+    sequence is a set of distinct ints listed in descending order: within
+    a component the entries fall strictly, and components differ mod l+1.
+    For two such lists, of equal length or not, lexicographic order is the
+    numeric order of their bitmasks: at the first difference the larger
+    entry is a bit that only the larger list holds, above it the two
+    agree, and a list that is a proper prefix of the other has the smaller
+    mask.  The entry of row j in component ci is ordered by (v, ci), with
+    v = part_j - j + charge[ci], so it becomes the bit v*l + ci, shifted
+    by a per-component offset.  The offsets compress the gaps between the
+    components' windows of v (charge - top .. charge + top - 1, for top
+    the greatest rank): windows that overlap share one offset, and
+    disjoint ones are packed next to each other, which keeps the order of
+    the bits and bounds a key's width by 2 * l * l * top whatever the
+    charge.  The rows past a part's length are one strided run of bits,
+    set in one step.
+
+    >>> [format_multipartition(m) for m in gamma_lex_sorted([((1,), (1,)), ((), (2,))], (0, 0))]
+    ['-|2', '1|1']
     """
-    return sorted(mps, key=lambda m: gamma_sequence(m, charge), reverse=True)
+    mps = list(mps)
+    if len(mps) == 1 and len(mps[0]) == len(charge):
+        return mps
+    keys = gamma_keys(mps, charge)
+    return sorted(mps, key=keys.__getitem__, reverse=True)
 
 
 def enumerate_multipartitions(

@@ -26,8 +26,13 @@ good removable node of the vertex it reaches, so the merge pass already
 holds the key of every good removable node.  A vertex's word starts with
 the residue of the greatest of them and epsilon, the length of the
 i-string back along its i-predecessors, then goes on with the word of the
-vertex that string reaches.  At e=inf the residues to scan are the
-contents of the addable nodes, from the same i-node scan taken modulo 1.
+vertex that string reaches.
+
+At finite e every residue mod e gets its own i-node scan.  At e=inf a
+vertex is scanned once, modulo 1, which lists all its addable and
+removable nodes in the node order, so by content: the i-nodes of each
+content i form one run of each list, and the runs of the addable contents
+are the residues to visit, in ascending order.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .combinatorics import (
 )
 
 __all__ = [
-    "residue_alphabet",
     "CrystalGraph",
     "generate_component",
 ]
@@ -69,12 +73,42 @@ def _good_addable(
     return good
 
 
-def residue_alphabet(mp: Multipartition, e: Optional[int], charge: Charge) -> list[int]:
-    """Residues that could possibly carry a good addable node of mp."""
+def _good_nodes(
+    mp: Multipartition, e: Optional[int], charge: Charge
+) -> list[tuple[int, tuple[tuple[int, int], int, int]]]:
+    """(residue, good addable entry) of mp for each residue that has one,
+    by ascending residue.
+
+    At finite e every residue in range(e) gets its own i_nodes scan.  At
+    e=inf one scan modulo 1 lists every node, both lists ascending in the
+    node order and so by content; the i-nodes of residue i are one run of
+    each list, and only the contents of addable nodes are visited.
+    """
     if e is not None:
-        return list(range(e))
-    # modulo 1 every node is a 0-node: one scan lists all addable nodes
-    return sorted({key[0] for key, _, _ in i_nodes(mp, charge, 1, 0)[0]})
+        return [
+            (i, good)
+            for i in range(e)
+            if (good := _good_addable(*i_nodes(mp, charge, e, i))) is not None
+        ]
+    adds, rems = i_nodes(mp, charge, 1, 0)
+    out = []
+    na, nr = len(adds), len(rems)
+    a = r = 0
+    while a < na:
+        i = adds[a][0][0]
+        b = a + 1
+        while b < na and adds[b][0][0] == i:
+            b += 1
+        while r < nr and rems[r][0] < i:
+            r += 1
+        t = r
+        while t < nr and rems[t][0] == i:
+            t += 1
+        good = _good_addable(adds[a:b], rems[r:t])
+        if good is not None:
+            out.append((i, good))
+        a, r = b, t
+    return out
 
 
 class CrystalGraph:
@@ -158,15 +192,13 @@ def generate_component(e: Optional[int], charge: Charge, max_rank: int) -> Cryst
         # new vertex -> (greatest good removable node key, its residue)
         peel: dict[Multipartition, tuple[tuple[int, int], int]] = {}
         for mp in layers[-1]:
-            for i in residue_alphabet(mp, e, charge):
-                good = _good_addable(*i_nodes(mp, charge, e, i))
-                if good is not None:
-                    up = add_boxes(mp, [good[1:]])
-                    edges[(mp, i)] = up
-                    down.setdefault(up, {})[i] = mp
-                    best = peel.get(up)
-                    if best is None or best[0] < good[0]:
-                        peel[up] = (good[0], i)
+            for i, good in _good_nodes(mp, e, charge):
+                up = add_boxes(mp, [good[1:]])
+                edges[(mp, i)] = up
+                down.setdefault(up, {})[i] = mp
+                best = peel.get(up)
+                if best is None or best[0] < good[0]:
+                    peel[up] = (good[0], i)
         layer = gamma_lex_sorted(peel, charge)
         for mp in layer:
             i = peel[mp][1]

@@ -13,18 +13,19 @@ the nonzero cells of the finished matrices, including the v=1
 specialization.  back_substitution_oracle in fockdec.reference solves for
 the relative matrix independently, on the dense tables.
 
-Rendering: all four formats walk the nonzero cells (_cell_texts) and
-format each distinct cell once per matrix.  matrix_to_json_obj() is the
-documented JSON structure (row_labels, col_labels, and entries as
-[exponent, coefficient] pairs); append_matrix_json() writes its text
-directly, byte-identical to json.dumps(matrix_to_json_obj(m), indent=2)
-nested ``depth`` levels deep (every newline followed by 2*depth more spaces).
+Rendering: all four formats walk the nonzero cells and format each
+distinct cell once per matrix; matrix_to_text also pads each distinct
+(cell, width) pair once.  matrix_to_json_obj() is the documented JSON
+structure (row_labels, col_labels, and entries as [exponent, coefficient]
+pairs); append_matrix_json() writes its text directly, byte-identical to
+json.dumps(matrix_to_json_obj(m), indent=2) nested ``depth`` levels deep
+(every newline followed by 2*depth more spaces).
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
+from typing import Optional
 
 from .canonical import CanonicalBasisSet
 from .combinatorics import (
@@ -418,27 +419,47 @@ def _json_list(items, inner: str, outer: str) -> str:
     return "[" + inner + ("," + inner).join(items) + outer + "]"
 
 
-def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
+def append_matrix_json(
+    parts: list[str], m: PolyMatrix, depth: int = 0, quoted: Optional[dict] = None
+) -> None:
     """Append the JSON text of ``matrix_to_json_obj(m)`` to ``parts``.
 
     The pieces join to ``json.dumps(matrix_to_json_obj(m), indent=2)`` with
     every newline followed by ``2 * depth`` more spaces, which is how
     json.dumps lays the object out as a value ``depth`` levels down.
+    ``quoted`` maps labels to their JSON strings; a document that writes
+    several matrices passes one dict to all of them, so each label is
+    formatted once.  A label's text is digits, '.', '|' and '-', which JSON
+    writes between quotes unescaped.
 
+    >>> import json
     >>> m = PolyMatrix((((1,),),), (((1,),),), (((0, ONE),),))
     >>> parts = []
     >>> append_matrix_json(parts, m)
     >>> "".join(parts) == json.dumps(matrix_to_json_obj(m), indent=2)
     True
     """
+    if quoted is None:
+        quoted = {}
     i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
 
     def labels(labs) -> str:
-        return _json_list([json.dumps(format_multipartition(x)) for x in labs], i2, i1)
+        texts = []
+        for x in labs:
+            text = quoted.get(x)
+            if text is None:
+                text = quoted[x] = '"' + format_multipartition(x) + '"'
+            texts.append(text)
+        return _json_list(texts, i2, i1)
+
+    # a cell sits three levels below the matrix object, each [exponent,
+    # coefficient] pair one more and its ints two more
+    pair_open, pair_mid, pair_close = i3 + "  [" + i3 + "    ", "," + i3 + "    ", i3 + "  ]"
 
     def cell(p: LaurentPoly) -> str:
-        # a cell sits three levels below the matrix object
-        return json.dumps(p.to_pairs(), indent=2).replace("\n", i3)
+        return "[" + ",".join(
+            [pair_open + str(e) + pair_mid + str(c) + pair_close for e, c in p.items()]
+        ) + i3 + "]"
 
     parts.append("{" + i1 + '"row_labels": ' + labels(m.row_labels))
     parts.append("," + i1 + '"col_labels": ' + labels(m.col_labels))
@@ -455,9 +476,34 @@ def append_matrix_json(parts: list[str], m: PolyMatrix, depth: int = 0) -> None:
 
 
 def matrix_to_text(m: PolyMatrix) -> str:
-    table = [[""] + [format_multipartition(c) for c in m.col_labels]]
-    for lab, row in zip(m.row_labels, _cell_texts(m, str, ".")):
-        table.append([format_multipartition(lab)] + row)
-    widths = [max(map(len, column)) for column in zip(*table)]
-    lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in table]
+    """Aligned columns, each as wide as its widest label or cell, '.' for zero.
+
+    Widths come from the labels and the nonzero cells; each column's padded
+    '.' and each distinct (cell, width) pair is padded once.
+    """
+    heads = [format_multipartition(c) for c in m.col_labels]
+    names = [format_multipartition(r) for r in m.row_labels]
+    texts: dict[LaurentPoly, str] = {}
+    # a zero cell is '.', one character, in every column of a matrix with rows
+    widths = [max(len(h), 1) for h in heads] if names else list(map(len, heads))
+    for cells in m.row_nonzeros:
+        for j, p in cells:
+            text = texts.get(p)
+            if text is None:
+                text = texts[p] = str(p)
+            if len(text) > widths[j]:
+                widths[j] = len(text)
+    first = max(map(len, names), default=0)
+    lines = ["  ".join([" " * first] + list(map(str.ljust, heads, widths))).rstrip()]
+    blank = [".".ljust(w) for w in widths]
+    padded: dict[tuple[LaurentPoly, int], str] = {}
+    for name, cells in zip(names, m.row_nonzeros):
+        row = [name.ljust(first)] + blank
+        for j, p in cells:
+            w = widths[j]
+            text = padded.get((p, w))
+            if text is None:
+                text = padded[p, w] = texts[p].ljust(w)
+            row[j + 1] = text
+        lines.append("  ".join(row).rstrip())
     return "\n".join(lines) + "\n"

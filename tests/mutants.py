@@ -127,6 +127,30 @@ MUTANTS = [
         "a - b multiplies b by MINUS_ONE in the one multiply-add loop",
     ),
     Mutant(
+        "gamma-key-without-component-offset",
+        "combinatorics.py",
+        "base[ci] = (s + off) * lv + ci",
+        "base[ci] = (s + off) * lv",
+        ("test_combinatorics.py",),
+        "the integer gamma key orders entries of equal v by their component",
+    ),
+    Mutant(
+        "inf-run-boundary-inclusive",
+        "crystal.py",
+        "while r < nr and rems[r][0] < i:",
+        "while r < nr and rems[r][0] <= i:",
+        ("test_crystal.py",),
+        "at e=inf each content's removable nodes are one run of the modulus-1 scan",
+    ),
+    Mutant(
+        "json-cell-indent-off-by-one-level",
+        "factorize.py",
+        '"," + i3 + "    ", i3 + "  ]"',
+        '"," + i3 + "  ", i3 + "  ]"',
+        ("test_factorize.py",),
+        "the direct JSON text of a cell is json.dumps(indent=2) at its depth",
+    ),
+    Mutant(
         "reference-residue-of-absolute-content",
         "reference.py",
         "return c if e is None else c % e",

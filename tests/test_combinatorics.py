@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import inspect
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockdec.combinatorics import (
@@ -18,6 +18,7 @@ from fockdec.combinatorics import (
     empty,
     enumerate_multipartitions,
     format_multipartition,
+    gamma_keys,
     gamma_lex_sorted,
     gamma_prefix_sums,
     gamma_sequence,
@@ -331,6 +332,69 @@ def test_gamma_lex_refines_dominance():
             for b in mps[i + 1 :]:
                 # a sorts before b, so b must never strictly dominate a
                 assert compare_dominance(b, a, charge) is not Ordering.GREATER
+
+
+def _unsorted_layer(level, n):
+    """Every level-l multipartition of rank n, in no particular order."""
+    return [
+        tuple(combo)
+        for sizes in product(range(n + 1), repeat=level)
+        if sum(sizes) == n
+        for combo in product(*(partitions(k) for k in sizes))
+    ]
+
+
+def _sequence_sorted(mps, charge):
+    return sorted(mps, key=lambda m: gamma_sequence(m, charge), reverse=True)
+
+
+@st.composite
+def gamma_sort_cases(draw):
+    """(mps, charge): level 1-4, charges in [-6, 40]; a whole rank layer in
+    a drawn order, or a set drawn from several rank layers."""
+    level = draw(st.integers(1, 4))
+    charge = tuple(draw(st.lists(st.integers(-6, 40), min_size=level, max_size=level)))
+    top = (6, 5, 4, 3)[level - 1]
+    if draw(st.booleans()):
+        mps = draw(st.permutations(_unsorted_layer(level, draw(st.integers(0, top)))))
+    else:
+        pool = [m for n in range(top + 1) for m in _unsorted_layer(level, n)]
+        mps = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+    return list(mps), charge
+
+
+@given(gamma_sort_cases())
+@settings(max_examples=300, deadline=None)
+@example(([((), ()), ((1,), ()), ((), (2,)), ((1,), (1,))], (0, 0)))
+@example(([((2,),), ((1, 1),), ((),), ((3,),)], (-6,)))
+@example(([((1,), (), ()), ((), (), (1,)), ((), (1,), ())], (40, -6, 40)))
+def test_gamma_lex_sorted_is_the_gamma_sequence_sort(case):
+    # each multipartition keeps its own rank cut, so mixed ranks sort as
+    # their tuples do: a sequence that is a prefix of another sorts after it
+    mps, charge = case
+    want = _sequence_sorted(mps, charge)
+    assert gamma_lex_sorted(mps, charge) == want
+    assert gamma_lex_sorted(iter(mps), charge) == want
+
+
+def test_gamma_lex_sorted_checks_the_level():
+    with pytest.raises(ValueError):
+        gamma_lex_sorted([mp("1|-")], (0,))
+    with pytest.raises(ValueError):
+        gamma_lex_sorted([mp("1"), mp("1|-")], (0, 0))
+    assert gamma_lex_sorted([], (0,)) == []
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_gamma_key_width_depends_on_level_and_rank_only(level):
+    # one component ten million above the others: the windows of the
+    # other components are packed next to it, not 10**7 bits away
+    for charge in [(10**7,) + tuple(range(level - 1)), tuple(range(level - 1)) + (-(10**7),)]:
+        for n in range(1, (6, 5, 4, 3)[level - 1] + 1):
+            layer = _unsorted_layer(level, n)
+            keys = gamma_keys(layer, charge)
+            assert max(k.bit_length() for k in keys.values()) <= 2 * level * level * n
+            assert gamma_lex_sorted(layer, charge) == _sequence_sorted(layer, charge)
 
 
 def test_gamma_lex_sorted_is_deterministic():

@@ -12,6 +12,7 @@ import fockdec.combinatorics
 import fockdec.crystal
 import fockdec.reference
 from fockdec.combinatorics import (
+    add_boxes,
     empty,
     format_multipartition,
     gamma_lex_sorted,
@@ -19,21 +20,34 @@ from fockdec.combinatorics import (
     parse_multipartition,
     rank,
 )
-from fockdec.crystal import CrystalGraph, _good_addable, generate_component, residue_alphabet
+from fockdec.crystal import CrystalGraph, _good_addable, generate_component
 from fockdec.reference import (
     Node,
+    addable_nodes,
     apply_good,
+    content,
     epsilon,
     good_node,
     good_removable_node,
     node_key,
     remove_good,
+    removable_nodes,
     signature_blocks,
 )
 
 
 def mp(text):
     return parse_multipartition(text)
+
+
+def _oracle_residues(lam, e, charge):
+    """The residues the oracles scan: all of them mod e, or at e=inf the
+    content of every addable and every removable node, from the Node
+    toolkit."""
+    if e is not None:
+        return list(range(e))
+    nodes = addable_nodes(lam, charge) + removable_nodes(lam, charge)
+    return sorted({content(node, charge) for node in nodes})
 
 
 def test_signature_blocks_fixture():
@@ -59,11 +73,13 @@ def test_signature_cancellation():
     assert [n.comp for n in adds] == [1, 2] and rems == []
 
 
-def test_residue_alphabet():
-    assert residue_alphabet(mp("2.1|1"), 2, (0, 0)) == [0, 1]
-    assert residue_alphabet(mp("2.1|1"), 5, (0, 0)) == [0, 1, 2, 3, 4]
-    assert residue_alphabet(mp("2.1|1"), None, (0, 0)) == [-2, -1, 0, 1, 2]
-    assert residue_alphabet(mp("-|-"), None, (0, 1)) == [0, 1]
+def test_oracle_residues():
+    assert _oracle_residues(mp("2.1|1"), 2, (0, 0)) == [0, 1]
+    assert _oracle_residues(mp("2.1|1"), 5, (0, 0)) == [0, 1, 2, 3, 4]
+    # addable contents -2, 0, 2, -1, 1 and removable contents -1, 1, 0
+    assert _oracle_residues(mp("2.1|1"), None, (0, 0)) == [-2, -1, 0, 1, 2]
+    assert _oracle_residues(mp("-|-"), None, (0, 1)) == [0, 1]
+    assert _oracle_residues(mp("2|-"), None, (0, 5)) == [-1, 1, 2, 5]
 
 
 def test_component_shape_fixtures():
@@ -114,7 +130,7 @@ def test_good_operations_are_inverse():
             for vert in g.vertices(n):
                 downs = [
                     i
-                    for i in residue_alphabet(vert, e, charge)
+                    for i in _oracle_residues(vert, e, charge)
                     if epsilon(vert, e, i, charge) > 0
                 ]
                 down_layer = {
@@ -196,13 +212,13 @@ def test_graph_is_frozen():
 
 def _signature_component(e, charge, max_rank):
     # the per-residue generation by the signature rule, kept as the oracle:
-    # apply_good for every residue of residue_alphabet, then the layer sort
+    # apply_good for every residue of _oracle_residues, then the layer sort
     layers = [[empty(len(charge))]]
     edges = {}
     for _ in range(max_rank):
         nxt = set()
         for src in layers[-1]:
-            for i in residue_alphabet(src, e, charge):
+            for i in _oracle_residues(src, e, charge):
                 up = apply_good(src, e, i, charge)
                 if up is not None:
                     edges[(src, i)] = up
@@ -277,3 +293,27 @@ def test_finite_e_generation_reads_no_node_lists(monkeypatch):
         g = generate_component(e, (0, 1), 5)
         assert sum(map(len, g.layers)) > 1
         assert len(g.peeling_words) == sum(map(len, g.layers))
+
+
+def test_inf_generation_scans_each_vertex_once(monkeypatch):
+    # at e=inf each vertex below the top rank is scanned once, modulo 1,
+    # and the per-content runs of that scan give the edges that one scan
+    # per addable content gives, in the same order
+    charge = (0, 0)
+    calls = []
+    scan = fockdec.crystal.i_nodes
+    monkeypatch.setattr(
+        fockdec.crystal, "i_nodes", lambda *args: calls.append(args) or scan(*args)
+    )
+    g = generate_component(None, charge, 10)
+    assert len(calls) == sum(map(len, g.layers[:-1])) == 300
+    assert {args[2:] for args in calls} == {(1, 0)}
+    expected = []
+    for layer in g.layers[:-1]:
+        for src in layer:
+            for i in sorted({key[0] for key, _, _ in scan(src, charge, 1, 0)[0]}):
+                good = _good_addable(*scan(src, charge, None, i))
+                if good is not None:
+                    expected.append(((src, i), add_boxes(src, [good[1:]])))
+    assert len(expected) == 1135
+    assert list(g.edges.items()) == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from functools import lru_cache
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockdec.canonical import canonical_basis
+from fockdec.cli import _out_json
 from fockdec.combinatorics import (
     InvariantViolated,
     Ordering,
@@ -481,6 +484,60 @@ def test_matrix_json_text_matches_json_dumps(m, depth):
     head = "".join('{\n' + "  " * (k + 1) + '"m": ' for k in range(depth))
     tail = "".join("\n" + "  " * k + "}" for k in reversed(range(depth)))
     assert head + text + tail == json.dumps(nested, indent=2)
+
+
+@st.composite
+def label_sharing_triples(draw):
+    """Matrices rows x cols, rows x inner and inner x cols, like a
+    factorization's D_e, D_inf and D_rel, over labels they share."""
+    rows, inner, cols = (
+        tuple(draw(st.lists(st.sampled_from(MP_LABELS), max_size=4, unique=True)))
+        for _ in range(3)
+    )
+
+    def matrix(r, c):
+        cells = draw(st.lists(
+            st.lists(wide_polys, min_size=len(c), max_size=len(c)),
+            min_size=len(r), max_size=len(r),
+        ))
+        return PolyMatrix.from_dense(r, c, tuple(map(tuple, cells)))
+
+    return matrix(rows, cols), matrix(rows, inner), matrix(inner, cols)
+
+
+WIDE_CELL = LaurentPoly(-3, (-(2**65), 0, 2**64 + 1))
+
+
+@given(label_sharing_triples(), st.integers(0, 2))
+@example(
+    (
+        PolyMatrix.from_dense(MP_LABELS[:2], MP_LABELS[1:3], ((WIDE_CELL, ZERO), (V, WIDE_CELL))),
+        PolyMatrix.from_dense(MP_LABELS[:2], MP_LABELS[2:4], ((ONE, ZERO), (ZERO, -V))),
+        PolyMatrix.from_dense(MP_LABELS[2:4], MP_LABELS[1:3], ((ZERO, WIDE_CELL), (ONE, ZERO))),
+    ),
+    2,
+)
+@settings(max_examples=150, deadline=None)
+def test_documents_of_matrices_sharing_labels_match_json_dumps(triple, depth):
+    de, dinf, drel = triple
+    fields = {
+        "e": 2, "charge": [0, 0], "rank": 3,
+        "basis_e": de, "basis_inf": dinf, "relative": drel,
+        "report": [{"check": "product", "pass": True, "detail": "d"}], "all_pass": True,
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _out_json(fields)
+    obj = {k: matrix_to_json_obj(v) if isinstance(v, PolyMatrix) else v for k, v in fields.items()}
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+    # the same label map serves each matrix at any depth
+    quoted = {}
+    for m in triple:
+        parts = []
+        append_matrix_json(parts, m, depth, quoted)
+        want = json.dumps(matrix_to_json_obj(m), indent=2)
+        assert "".join(parts) == want.replace("\n", "\n" + "  " * depth)
+    assert set(quoted) == {lab for m in triple for lab in m.row_labels + m.col_labels}
 
 
 @given(dense_tables(), st.integers(0, 2))
