@@ -54,8 +54,8 @@ from .combinatorics import (
     format_multipartition,
 )
 from .crystal import generate_component
-from .fock import FockVector, _apply_f_divided, basis_vector
-from .laurent import ONE, LaurentPoly, bar_symmetric_part
+from .fock import FockVector, apply_divided_power, basis_vector
+from .laurent import ONE, ZERO, LaurentPoly, bar_symmetric_part
 
 __all__ = [
     "PeelingUnitriangularityViolated",
@@ -83,7 +83,11 @@ class OrderViolation(InvariantViolated):
 def apply_peeling(
     seq: tuple[tuple[int, int], ...], e: Optional[int], charge: Charge
 ) -> FockVector:
-    """Apply the reversed peeling word to the vacuum of the given charge."""
+    """Apply the reversed peeling word to the vacuum of the given charge.
+
+    No command calls it: canonical_basis applies all words of a rank at
+    once.  fockdec.reference.build_A and the benchmark's tracer use it.
+    """
     return apply_peelings([seq], e, charge)[0]
 
 
@@ -112,7 +116,7 @@ def apply_peelings(
             common += 1
         del stack[common + 1 :]
         for i, u in word[common:]:
-            stack.append(_apply_f_divided(stack[-1], e, i, u, table))
+            stack.append(apply_divided_power(stack[-1], e, i, u, table))
         out[k] = stack[-1]
         prev = word
     return out
@@ -174,7 +178,7 @@ def _reduce(
                 f"{x.coeff(offender)} of {format_multipartition(offender)}"
             )
         g = resolve(offender)
-        corrections[offender] = corrections.get(offender, LaurentPoly()) + m
+        corrections[offender] = corrections.get(offender, ZERO) + m
         x = x.sub_scaled(g, m)
         guard += 1
         if guard > limit:

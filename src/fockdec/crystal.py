@@ -143,10 +143,6 @@ class CrystalGraph:
             raise ValueError(f"rank {n} outside 0..{self.max_rank}")
         return self.layers[n]
 
-    def __contains__(self, mp: Multipartition) -> bool:
-        r = sum(sum(c) for c in mp)
-        return r <= self.max_rank and mp in self.layers[r]
-
     def to_json_obj(self) -> dict:
         return {
             "e": "inf" if self.e is None else self.e,

@@ -3,23 +3,25 @@
 The matrix of a canonical basis set has one row per rank-n multipartition
 (descending gamma order) and one column per basis vector.  A PolyMatrix
 stores only the nonzero cells of each row, in column order; the dense
-table is a view kept for fockdec.reference and the tests.  The finite-e
-matrix factors through the no-modulus one: column by column, repeatedly
-strip the greatest remaining support term by subtracting that multiple of
-the corresponding no-modulus basis vector; the multiples assemble into the
-relative matrix, which is unitriangular with off-diagonal entries in
-v*Z[v] and nonnegative coefficients.  verify() rechecks all of that from
-the nonzero cells of the finished matrices, including the v=1
-specialization.  back_substitution_oracle in fockdec.reference solves for
-the relative matrix independently, on the dense tables.
+table is built by fockdec.reference, for its cross-checks and the tests.
+The finite-e matrix factors through the no-modulus one: column by column,
+repeatedly strip the greatest remaining support term by subtracting that
+multiple of the corresponding no-modulus basis vector; the multiples
+assemble into the relative matrix, which is unitriangular with
+off-diagonal entries in v*Z[v] and nonnegative coefficients.  verify()
+rechecks all of that from the nonzero cells of the finished matrices,
+including the v=1 specialization.  back_substitution_oracle in
+fockdec.reference solves for the relative matrix independently, on the
+dense tables.
 
 Rendering: all four formats walk the nonzero cells and format each
 distinct cell once per matrix; matrix_to_text also pads each distinct
-(cell, width) pair once.  matrix_to_json_obj() is the documented JSON
-structure (row_labels, col_labels, and entries as [exponent, coefficient]
-pairs); append_matrix_json() writes its text directly, byte-identical to
-json.dumps(matrix_to_json_obj(m), indent=2) nested ``depth`` levels deep
-(every newline followed by 2*depth more spaces).
+(cell, width) pair once.  append_matrix_json() writes the JSON text of a
+matrix directly: the documented structure (row_labels, col_labels, and
+entries as [exponent, coefficient] pairs), laid out as json.dumps(obj,
+indent=2) nested ``depth`` levels deep (every newline followed by 2*depth
+more spaces).  fockdec.reference.matrix_to_json_obj builds that structure
+as Python objects, the oracle the text is tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "format_cell",
     "matrix_to_csv",
     "matrix_to_latex",
-    "matrix_to_json_obj",
     "append_matrix_json",
     "matrix_to_text",
 ]
@@ -71,10 +72,9 @@ class PolyMatrix:
     """A labeled matrix of Laurent polynomials, stored by its nonzero cells.
 
     ``row_nonzeros[i]`` holds row i's (column index, entry) pairs in
-    ascending column order, with no zero entry.  ``entries``, the dense
-    row-major table with ZERO in every empty cell, and the label->index
-    maps are views built on first use and cached; no command reads
-    ``entries``, which serves fockdec.reference and the tests.  Immutable.
+    ascending column order, with no zero entry; this sparse form is the
+    only one stored.  ``row_index``, the row label->index map, is built on
+    first use and cached.  Immutable.
     """
 
     row_labels: tuple[Multipartition, ...]
@@ -95,35 +95,9 @@ class PolyMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyMatrix is immutable; cannot set {name}")
 
-    @classmethod
-    def from_dense(cls, row_labels, col_labels, entries) -> "PolyMatrix":
-        """The matrix of a dense row-major table; its zero cells are dropped."""
-        if len(entries) != len(row_labels):
-            raise ValueError("row count mismatch")
-        if any(len(row) != len(col_labels) for row in entries):
-            raise ValueError("column count mismatch")
-        return cls(
-            row_labels,
-            col_labels,
-            tuple(tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in entries),
-        )
-
-    @cached_property
-    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        return self._dense(ZERO, lambda p: p)
-
     @cached_property
     def row_index(self) -> dict[Multipartition, int]:
         return {label: i for i, label in enumerate(self.row_labels)}
-
-    @cached_property
-    def col_index(self) -> dict[Multipartition, int]:
-        return {label: j for j, label in enumerate(self.col_labels)}
-
-    def entry(self, row: Multipartition, col: Multipartition) -> LaurentPoly:
-        cells = self.row_nonzeros[_lookup(self.row_index, row, "row")]
-        j = _lookup(self.col_index, col, "column")
-        return next((p for k, p in cells if k == j), ZERO)
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """The product, summed over nonzero cell pairs only."""
@@ -141,24 +115,14 @@ class PolyMatrix:
 
     def eval_one(self) -> tuple[tuple[int, ...], ...]:
         """The dense integer table at v=1."""
-        return self._dense(0, LaurentPoly.eval_one)
-
-    def _dense(self, fill, value) -> tuple[tuple, ...]:
         width = len(self.col_labels)
         out = []
         for cells in self.row_nonzeros:
-            row = [fill] * width
+            row = [0] * width
             for j, p in cells:
-                row[j] = value(p)
+                row[j] = p.eval_one()
             out.append(tuple(row))
         return tuple(out)
-
-
-def _lookup(index: dict[Multipartition, int], label: Multipartition, kind: str) -> int:
-    try:
-        return index[label]
-    except KeyError:
-        raise ValueError(f"{label!r} is not a {kind} label") from None
 
 
 def basis_matrix(basis: CanonicalBasisSet) -> PolyMatrix:
@@ -404,14 +368,6 @@ def matrix_to_latex(m: PolyMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_json_obj(m: PolyMatrix) -> dict:
-    return {
-        "row_labels": [format_multipartition(r) for r in m.row_labels],
-        "col_labels": [format_multipartition(c) for c in m.col_labels],
-        "entries": [[p.to_pairs() for p in row] for row in m.entries],
-    }
-
-
 def _json_list(items, inner: str, outer: str) -> str:
     """A JSON list of already-rendered items, laid out as json.dumps(indent=2)."""
     if not items:
@@ -422,22 +378,22 @@ def _json_list(items, inner: str, outer: str) -> str:
 def append_matrix_json(
     parts: list[str], m: PolyMatrix, depth: int = 0, quoted: Optional[dict] = None
 ) -> None:
-    """Append the JSON text of ``matrix_to_json_obj(m)`` to ``parts``.
+    """Append the JSON text of m to ``parts``.
 
-    The pieces join to ``json.dumps(matrix_to_json_obj(m), indent=2)`` with
-    every newline followed by ``2 * depth`` more spaces, which is how
+    The pieces join to ``json.dumps(obj, indent=2)``, where obj is the
+    documented structure (fockdec.reference.matrix_to_json_obj builds it),
+    with every newline followed by ``2 * depth`` more spaces, which is how
     json.dumps lays the object out as a value ``depth`` levels down.
     ``quoted`` maps labels to their JSON strings; a document that writes
     several matrices passes one dict to all of them, so each label is
     formatted once.  A label's text is digits, '.', '|' and '-', which JSON
     writes between quotes unescaped.
 
-    >>> import json
     >>> m = PolyMatrix((((1,),),), (((1,),),), (((0, ONE),),))
     >>> parts = []
     >>> append_matrix_json(parts, m)
-    >>> "".join(parts) == json.dumps(matrix_to_json_obj(m), indent=2)
-    True
+    >>> print("".join(parts).replace(" ", "").replace("\\n", ""))
+    {"row_labels":["1"],"col_labels":["1"],"entries":[[[[0,1]]]]}
     """
     if quoted is None:
         quoted = {}

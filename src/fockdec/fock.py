@@ -4,29 +4,31 @@ Vectors are finite Z[v, 1/v]-combinations of multipartitions of a fixed
 level and charge.  The raising operator f_i inserts one box of residue i and
 weights each insertion by v to the count of addable i-nodes above the new
 box minus removable i-nodes above it in the result.  The modulus is e >= 2
-or None; apply_f and apply_f_divided raise ValueError for e < 2.
+or None; apply_divided_power raises ValueError for e < 2.
 
-Both raising operators work from one scan of each source multipartition:
-a box of residue i changes addable and removable nodes only at residues
-i - 1 and i + 1, so the exponents of every insertion are read off the
-source itself.  The divided power f_i^(u) is computed in closed form, one
-term per u-subset of the addable i-nodes, never as u applications of f_i
+apply_divided_power is the one raising operator: it applies the divided
+power f_i^(u), with f_i itself at u = 1, from one scan of each source
+multipartition.  A box of residue i changes addable and removable nodes
+only at residues i - 1 and i + 1, so the exponents of every insertion are
+read off the source itself.  f_i^(u) is computed in closed form, one term
+per u-subset of the addable i-nodes, never as u applications of f_i
 followed by a division by [u]!.  The (target, exponent) moves of f_i^(u)
 from one multipartition go into a transition table keyed by
-(multipartition, i, u), so a caller that applies many divided powers at
-one charge and e (canonical.apply_peelings) computes them once per key;
-apply_f_divided uses a fresh table on every call.  The contributions to
-each target are collected and summed once, and FockVector.sub_scaled forms
-the elimination step x - m*g in one pass; x + y is x.sub_scaled(y, -1).
+(multipartition, i, u), which the caller owns, so a caller that applies
+many divided powers at one charge and e (canonical.apply_peelings)
+computes them once per key.  The contributions to each target are
+collected and summed once, and FockVector.sub_scaled forms the
+elimination step x - m*g in one pass; x + y is x.sub_scaled(y, -1).
 
 With e=None the same formulas run on raw contents instead of residues:
 that is the large-rank limit in which every content class is its own
-residue.  The lowering operator e_i, the diagonal operator t_i, the node
-counts of one insertion, and the check that each finite-e operator expands
-through the content operators are cross-checks in fockdec.reference.
+residue.  apply_f and apply_f_divided (the kernel with a fresh table),
+the lowering operator e_i, the diagonal operator t_i, the node counts of
+one insertion, and the check that each finite-e operator expands through
+the content operators are cross-checks in fockdec.reference.
 
 >>> x = basis_vector(((), ()), (0, 0))
->>> print(apply_f(x, 2, 0))
+>>> print(apply_divided_power(x, 2, 0, 1, {}))
 (-|1, 1) + (1|-, v)
 """
 
@@ -48,8 +50,7 @@ from .laurent import MINUS_ONE, ONE, ZERO, LaurentPoly
 __all__ = [
     "FockVector",
     "basis_vector",
-    "apply_f",
-    "apply_f_divided",
+    "apply_divided_power",
 ]
 
 
@@ -76,10 +77,6 @@ class FockVector:
 
     def coeff(self, mp: Multipartition) -> LaurentPoly:
         return self.entries.get(mp, ZERO)
-
-    def support(self) -> list[Multipartition]:
-        """Support sorted by descending gamma sequence at this charge."""
-        return gamma_lex_sorted(self.entries, self.charge)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -127,12 +124,6 @@ class FockVector:
             return FockVector(self.charge, {})
         return FockVector(self.charge, {mp: c * p for mp, c in self.entries.items()})
 
-    def shift(self, exp: int, coeff: int = 1) -> "FockVector":
-        """Multiply every coefficient by coeff * v**exp."""
-        return FockVector(
-            self.charge, {mp: c.shift(exp, coeff) for mp, c in self.entries.items()}
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FockVector)
@@ -140,29 +131,17 @@ class FockVector:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        raise TypeError("FockVector is not hashable")
-
     def __str__(self) -> str:
+        """The terms in descending gamma order at this charge."""
         if not self.entries:
             return "0"
-        bits = [
-            f"({format_multipartition(mp)}, {self.entries[mp]})" for mp in self.support()
-        ]
-        return " + ".join(bits)
+        return " + ".join(
+            f"({format_multipartition(mp)}, {self.entries[mp]})"
+            for mp in gamma_lex_sorted(self.entries, self.charge)
+        )
 
     def __repr__(self) -> str:
         return f"FockVector({self.charge}, {self.entries!r})"
-
-    def to_json_obj(self) -> list[dict]:
-        """Serialize as a list sorted by descending gamma order."""
-        return [
-            {
-                "multipartition": format_multipartition(mp),
-                "coeff": self.entries[mp].to_pairs(),
-            }
-            for mp in self.support()
-        ]
 
     def _check(self, other: "FockVector") -> None:
         if self.charge != other.charge:
@@ -189,46 +168,27 @@ def _single_exponents(
     return out
 
 
-def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
-    """The raising operator for residue i.
-
-    The exponent of lam -> lam + gamma counts addable i-nodes of lam above
-    gamma minus removable i-nodes of lam + gamma above gamma.  Inserting
-    gamma (content c) changes addability and removability only at contents
-    c - 1 and c + 1, whose residues differ from i when e >= 2 or e is
-    None.  So the removable i-nodes of lam + gamma above gamma are exactly
-    those of lam, and one scan of lam gives the exponent of every term.
-    That argument fails for e = 1, which raises ValueError.
-    """
-    return apply_f_divided(x, e, i, 1)
-
-
-def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVector:
+def apply_divided_power(
+    x: FockVector, e: Optional[int], i: int, u: int, table: dict
+) -> FockVector:
     """The divided power f_i^u / [u]!, in closed form.
 
     lam goes to lam + S for every u-subset S of lam's addable i-nodes, with
     exponent the sum over gamma in S of the addable i-nodes of lam above
     gamma and not in S, minus the removable i-nodes of lam above gamma.
-    Inserting an i-node leaves every other addable or removable i-node as
-    it was (see apply_f), so every subset can be inserted and the exponent
-    is the sum of the single-box exponents minus u(u-1)/2, one for each
-    pair in S.
-    Raises ValueError for u < 0 or e < 2.
-    """
-    return _apply_f_divided(x, e, i, u, {})
-
-
-def _apply_f_divided(
-    x: FockVector, e: Optional[int], i: int, u: int, table: dict
-) -> FockVector:
-    """apply_f_divided, reading each source's moves from a transition table.
+    Inserting gamma (content c) changes addability and removability only
+    at contents c - 1 and c + 1, whose residues differ from i when e >= 2
+    or e is None.  So every other addable or removable i-node stays as it
+    was, every subset can be inserted, and the exponent is the sum of the
+    single-box exponents minus u(u-1)/2, one for each pair in S.  That
+    argument fails for e = 1.
 
     ``table`` maps (multipartition, i, u) to the list of (target,
     exponent) moves of f_i^(u) from that multipartition; a missing key is
     computed here and stored.  One table serves one charge and one e, so
-    it lives no longer than the call that owns it (apply_peelings, or one
-    apply_f_divided).  Each target's contributions are collected first and
-    summed once.
+    it lives no longer than the call that owns it.  Each target's
+    contributions are collected first and summed once.
+    Raises ValueError for u < 0 or e < 2.
     """
     if u < 0:
         raise ValueError(f"negative divided power {u}")

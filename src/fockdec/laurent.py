@@ -1,16 +1,19 @@
 """Exact Laurent polynomials over the integers in one variable v.
 
-This is the coefficient ring for everything else in the package: balanced
-quantum integers, the bar involution v -> 1/v, exact division, and the
-bar-symmetric truncation used by basis eliminations all live here.
+This is the coefficient ring for everything else in the package: the
+arithmetic, the bar involution v -> 1/v and the bar-symmetric truncation
+used by basis eliminations live here.  Quantum integers and exact
+division serve only the cross-checks, in fockdec.reference.
 
 >>> p = LaurentPoly.from_terms({-2: 1, 1: 3})
 >>> str(p)
 'v^-2 + 3*v'
 >>> str(p.bar())
 '3*v^-1 + v^2'
->>> str(qint(3) * qint(2))
-'v^-3 + 2*v^-1 + 2*v + v^3'
+>>> str(p * (V + ONE))
+'v^-2 + v^-1 + 3*v + 3*v^2'
+>>> LaurentPoly.from_pairs([[-2, 1], [1, 3]]) == p == LaurentPoly.monomial(1, -2) + V * 3
+True
 
 Coefficients are arbitrary-precision Python ints.  Every sum, difference
 and product of two polynomials goes through one multiply-add loop,
@@ -30,21 +33,13 @@ KERNEL = "python"
 
 __all__ = [
     "LaurentPoly",
-    "DivisionNotExact",
     "KERNEL",
     "ZERO",
     "ONE",
     "MINUS_ONE",
     "V",
-    "qint",
-    "qfactorial",
-    "exact_div",
     "bar_symmetric_part",
 ]
-
-
-class DivisionNotExact(ArithmeticError):
-    """Raised when a quotient does not exist over Z[v, 1/v]."""
 
 
 class LaurentPoly:
@@ -99,12 +94,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs, ascending, nonzero only."""
@@ -270,57 +259,6 @@ ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
 MINUS_ONE = LaurentPoly(0, (-1,))
 V = LaurentPoly(1, (1,))
-
-
-def qint(n: int) -> LaurentPoly:
-    """The balanced quantum integer [n] = v^(n-1) + v^(n-3) + ... + v^(1-n).
-
-    >>> str(qint(1)), str(qint(2)), str(qint(3))
-    ('1', 'v^-1 + v', 'v^-2 + 1 + v^2')
-    """
-    if n <= 0:
-        raise ValueError(f"quantum integer needs n >= 1, got {n}")
-    coeffs = [0] * (2 * n - 1)
-    coeffs[0::2] = [1] * n
-    return LaurentPoly(1 - n, tuple(coeffs))
-
-
-def qfactorial(n: int) -> LaurentPoly:
-    """The quantum factorial [n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"quantum factorial needs n >= 0, got {n}")
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * qint(k)
-    return out
-
-
-def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """The exact quotient p / q, raising DivisionNotExact when none exists.
-
-    >>> str(exact_div(qint(2) * qint(3), qint(3)))
-    'v^-1 + v'
-    >>> exact_div(ONE + V, qint(2))
-    Traceback (most recent call last):
-        ...
-    fockdec.laurent.DivisionNotExact: (1 + v) / (v^-1 + v)
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    bc = q.coeffs
-    n = max(len(p.coeffs) - len(bc) + 1, 0)
-    rem = list(p.coeffs)
-    quo = [0] * n
-    for k in range(n):
-        quo[k], r = divmod(rem[k], bc[0])
-        if r:
-            break
-        for j in range(1, len(bc)):
-            rem[k + j] -= quo[k] * bc[j]
-    else:
-        if not any(rem[n:]):
-            return _normal(p.val - q.val, quo)
-    raise DivisionNotExact(f"({p}) / ({q})")
 
 
 def _normal(val: int, coeffs: list[int]) -> LaurentPoly:

@@ -19,17 +19,23 @@ runtime another way:
   the graph (CrystalGraph.peeling_words); build_A applies it, and
   brute_force_basis solves for the canonical basis coordinate-wise in the
   span of the peeling monomials, reusing no basis vector;
-- back_substitution_oracle solves dinf * X = de on the dense tables, where
-  factorize.extract_relative strips support terms basis vector by basis
-  vector;
+- back_substitution_oracle solves dinf * X = de on the dense tables
+  (from_dense, dense_entries), dividing each pivot out with exact_div,
+  where factorize.extract_relative strips support terms basis vector by
+  basis vector; matrix_to_json_obj builds a matrix's JSON structure from
+  the dense table, where factorize.append_matrix_json writes its text from
+  the nonzero cells;
 - count_N gives the node counts of one box insertion, apply_e and apply_t
   are the lowering and diagonal operators, and check_compatibility
   verifies on concrete vectors that the finite-e operators expand through
-  the content operators (e=None).
+  the content operators (e=None); apply_f and apply_f_divided are the
+  raising operators, the runtime kernel fock.apply_divided_power with a
+  fresh table, and qint and qfactorial the quantum integers the operator
+  identities are stated with.
 
 brute_force_basis shares one ingredient with canonical_basis on purpose:
 the operator kernel canonical.apply_peelings, which the tests check
-against the rescanning fock.apply_f.
+against f_i with its exponents counted on each new multipartition.
 
 >>> good_node(((), ()), 2, 0, (0, 0))
 Node(row=1, col=1, comp=2)
@@ -52,8 +58,8 @@ from .combinatorics import (
 )
 from .crystal import generate_component
 from .factorize import PolyMatrix
-from .fock import FockVector, apply_f
-from .laurent import ONE, ZERO, LaurentPoly, bar_symmetric_part, exact_div
+from .fock import FockVector, apply_divided_power
+from .laurent import ONE, ZERO, LaurentPoly, bar_symmetric_part
 
 __all__ = [
     "Node",
@@ -77,7 +83,17 @@ __all__ = [
     "peeling_sequence",
     "build_A",
     "brute_force_basis",
+    "DivisionNotExact",
+    "qint",
+    "qfactorial",
+    "exact_div",
+    "from_dense",
+    "dense_entries",
+    "matrix_entry",
+    "matrix_to_json_obj",
     "back_substitution_oracle",
+    "apply_f",
+    "apply_f_divided",
     "NodeCounts",
     "count_N",
     "apply_e",
@@ -382,7 +398,115 @@ def brute_force_basis(
     return out
 
 
-# -- back substitution on the raw matrices -------------------------------
+# -- quantum integers and exact division ---------------------------------
+
+
+class DivisionNotExact(ArithmeticError):
+    """Raised when a quotient does not exist over Z[v, 1/v]."""
+
+
+def qint(n: int) -> LaurentPoly:
+    """The balanced quantum integer [n] = v^(n-1) + v^(n-3) + ... + v^(1-n).
+
+    >>> str(qint(1)), str(qint(2)), str(qint(3))
+    ('1', 'v^-1 + v', 'v^-2 + 1 + v^2')
+    """
+    if n <= 0:
+        raise ValueError(f"quantum integer needs n >= 1, got {n}")
+    coeffs = [0] * (2 * n - 1)
+    coeffs[0::2] = [1] * n
+    return LaurentPoly(1 - n, tuple(coeffs))
+
+
+def qfactorial(n: int) -> LaurentPoly:
+    """The quantum factorial [n]! = [1][2]...[n], with [0]! = 1."""
+    if n < 0:
+        raise ValueError(f"quantum factorial needs n >= 0, got {n}")
+    out = ONE
+    for k in range(2, n + 1):
+        out = out * qint(k)
+    return out
+
+
+def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """The exact quotient p / q, raising DivisionNotExact when none exists.
+
+    >>> str(exact_div(qint(2) * qint(3), qint(3)))
+    'v^-1 + v'
+    >>> exact_div(ONE + LaurentPoly(1, (1,)), qint(2))
+    Traceback (most recent call last):
+        ...
+    fockdec.reference.DivisionNotExact: (1 + v) / (v^-1 + v)
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    bc = q.coeffs
+    n = max(len(p.coeffs) - len(bc) + 1, 0)
+    rem = list(p.coeffs)
+    quo = [0] * n
+    for k in range(n):
+        quo[k], r = divmod(rem[k], bc[0])
+        if r:
+            break
+        for j in range(1, len(bc)):
+            rem[k + j] -= quo[k] * bc[j]
+    else:
+        if not any(rem[n:]):
+            return LaurentPoly.from_terms(dict(enumerate(quo, p.val - q.val)))
+    raise DivisionNotExact(f"({p}) / ({q})")
+
+
+# -- the dense view of a matrix and back substitution on it --------------
+
+
+def from_dense(row_labels, col_labels, entries) -> PolyMatrix:
+    """The matrix of a dense row-major table; its zero cells are dropped."""
+    if len(entries) != len(row_labels):
+        raise ValueError("row count mismatch")
+    if any(len(row) != len(col_labels) for row in entries):
+        raise ValueError("column count mismatch")
+    return PolyMatrix(
+        row_labels,
+        col_labels,
+        tuple(tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in entries),
+    )
+
+
+def dense_entries(m: PolyMatrix) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The dense row-major table of m, with ZERO in every empty cell."""
+    out = []
+    for cells in m.row_nonzeros:
+        row = [ZERO] * len(m.col_labels)
+        for j, p in cells:
+            row[j] = p
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def matrix_entry(m: PolyMatrix, row: Multipartition, col: Multipartition) -> LaurentPoly:
+    """The entry of m at a row and a column label; ValueError for any other label."""
+    cells = m.row_nonzeros[m.row_labels.index(row)]
+    j = m.col_labels.index(col)
+    return next((p for k, p in cells if k == j), ZERO)
+
+
+def matrix_to_json_obj(m: PolyMatrix) -> dict:
+    """The documented JSON structure of m, built from its dense table.
+
+    >>> import json
+    >>> from fockdec.factorize import append_matrix_json
+    >>> m = from_dense((((1,),),), (((1,),),), ((ONE,),))
+    >>> parts = []
+    >>> append_matrix_json(parts, m)
+    >>> "".join(parts) == json.dumps(matrix_to_json_obj(m), indent=2)
+    True
+    """
+    return {
+        "row_labels": [format_multipartition(r) for r in m.row_labels],
+        "col_labels": [format_multipartition(c) for c in m.col_labels],
+        "entries": [[p.to_pairs() for p in row] for row in dense_entries(m)],
+    }
+
 
 
 def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
@@ -396,6 +520,7 @@ def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
     """
     if de.row_labels != dinf.row_labels:
         raise ValueError("row labels do not match")
+    table, rhs = dense_entries(dinf), dense_entries(de)
     ncols = len(dinf.col_labels)
     pivot_row = [dinf.row_labels.index(c) for c in dinf.col_labels]
     remaining = set(range(ncols))
@@ -405,7 +530,7 @@ def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
             j
             for j in remaining
             if all(
-                dinf.entries[pivot_row[j]][k].is_zero()
+                table[pivot_row[j]][k].is_zero()
                 for k in remaining
                 if k != j
             )
@@ -417,17 +542,17 @@ def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
         remaining.discard(free[0])
     out_cols = []
     for cj in range(len(de.col_labels)):
-        resid = [de.entries[i][cj] for i in range(len(de.row_labels))]
+        resid = [row[cj] for row in rhs]
         x = [ZERO] * ncols
         for j in order:
             pr = pivot_row[j]
             if resid[pr].is_zero():
                 continue
-            xj = exact_div(resid[pr], dinf.entries[pr][j])
+            xj = exact_div(resid[pr], table[pr][j])
             x[j] = xj
             for i in range(len(resid)):
-                if not dinf.entries[i][j].is_zero():
-                    resid[i] = resid[i] - dinf.entries[i][j] * xj
+                if not table[i][j].is_zero():
+                    resid[i] = resid[i] - table[i][j] * xj
         if any(not r.is_zero() for r in resid):
             raise InconsistentSystem(format_multipartition(de.col_labels[cj]))
         out_cols.append(x)
@@ -435,10 +560,21 @@ def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
         tuple(out_cols[cj][j] for cj in range(len(de.col_labels)))
         for j in range(ncols)
     )
-    return PolyMatrix.from_dense(dinf.col_labels, de.col_labels, entries)
+    return from_dense(dinf.col_labels, de.col_labels, entries)
 
 
-# -- node counts and the lowering and diagonal operators -----------------
+# -- node counts and the raising, lowering and diagonal operators --------
+
+
+def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
+    """The raising operator f_i: the runtime kernel at u = 1, with a fresh table."""
+    return apply_divided_power(x, e, i, 1, {})
+
+
+def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVector:
+    """The divided power f_i^(u): the runtime kernel with a fresh table."""
+    return apply_divided_power(x, e, i, u, {})
+
 
 
 class NodeCounts:

@@ -2,11 +2,11 @@
 
 Each row names one small change to the source, the test files that must
 catch it, and the claim those tests back.  The runner copies ``src/``,
-``tests/`` and README.md to a temporary directory, checks that the
-unmutated copy passes every named test file, then, one mutant at a time,
-requires the old text exactly once in its file, applies the change, runs
-``pytest -x -q`` on the mutant's test files in one subprocess, and
-requires a test failure.
+``tests/``, ``perfbench/`` and README.md to a temporary directory, checks
+that the unmutated copy passes every named test file, then, one mutant at
+a time, requires the old text exactly once in its file, applies the
+change, runs ``pytest -x -q`` on the mutant's test files in one
+subprocess, and requires a test failure.
 
 Run from anywhere::
 
@@ -158,6 +158,22 @@ MUTANTS = [
         ("test_combinatorics.py",),
         "the reference residue of a negative content is its class mod e",
     ),
+    Mutant(
+        "canonical-basis-one-word-at-a-time",
+        "canonical.py",
+        "apply_peelings(list(peelings.values()), e, charge)",
+        "[apply_peeling(w, e, charge) for w in peelings.values()]",
+        ("test_reference.py",),
+        "a declared runtime function that a command now calls is reported",
+    ),
+    Mutant(
+        "crystal-merge-without-pending-count",
+        "crystal.py",
+        "pending += 1",
+        "pending = 1",
+        ("test_crystal.py",),
+        "the merge pass cancels an addable node against each pending removable one",
+    ),
 ]
 
 
@@ -181,8 +197,13 @@ def run(mutants: list[Mutant]) -> int:
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
         shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
-        # test_cli.py reads the README's command lines
+        # test_cli.py reads the README's command lines, test_reference.py
+        # the names perfbench looks up
         shutil.copy2(ROOT / "README.md", copy / "README.md")
+        shutil.copytree(
+            ROOT / "perfbench", copy / "perfbench",
+            ignore=shutil.ignore_patterns("__pycache__", "results"),
+        )
         files = tuple(sorted({t for m in mutants for t in m.tests}))
         proc = _pytest(copy, files)
         if proc.returncode != 0:

@@ -27,9 +27,15 @@ from fockdec.combinatorics import (
     parse_multipartition,
 )
 from fockdec.crystal import generate_component
-from fockdec.fock import FockVector, apply_f_divided, basis_vector
+from fockdec.fock import FockVector, basis_vector
 from fockdec.laurent import ONE, LaurentPoly, bar_symmetric_part
-from fockdec.reference import NotInCrystal, brute_force_basis, build_A, peeling_sequence
+from fockdec.reference import (
+    NotInCrystal,
+    apply_f_divided,
+    brute_force_basis,
+    build_A,
+    peeling_sequence,
+)
 
 
 def mp(text):

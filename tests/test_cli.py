@@ -29,9 +29,9 @@ from fockdec.factorize import (
     NotInBInfinity,
     basis_matrix,
     extract_relative,
-    matrix_to_json_obj,
     verify,
 )
+from fockdec.reference import matrix_to_json_obj
 
 GOLDEN_CANONICAL_CSV = (
     ",-|3,1|2,-|2.1\n"

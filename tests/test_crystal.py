@@ -100,15 +100,20 @@ def test_component_shape_fixtures():
 
 def test_component_membership_and_errors():
     g = generate_component(2, (0, 0), 3)
-    assert mp("1|1") in g
-    assert mp("2|-") not in g  # reachable shapes only
-    assert mp("1.1|1.1") not in g  # beyond max_rank
     with pytest.raises(ValueError):
         g.vertices(4)
     with pytest.raises(ValueError):
         g.vertices(-1)
     with pytest.raises(ValueError):
         generate_component(2, (0, 0), -1)
+
+
+def test_graph_is_immutable():
+    g = generate_component(2, (0, 0), 2)
+    for name in ("layers", "edges", "peeling_words", "colour"):
+        with pytest.raises(AttributeError, match="CrystalGraph is immutable"):
+            setattr(g, name, None)
+    assert g.layers[2] == (mp("-|2"), mp("1|1"))
 
 
 def test_rank_zero_component():

