@@ -38,7 +38,9 @@ charge directly.  All peeling words of a rank are applied in one pass
 (apply_peelings) that shares the partial products of common prefixes and
 one transition table of the operator kernel, so the moves of f_i^(u) from
 a multipartition are computed once per call however many words reach it.
-Each elimination step is one FockVector.sub_scaled.
+Each elimination step is one FockVector.sub_scaled.  The recursion holds
+no reference cycle once canonical_basis returns, so each basis is freed
+by reference counting when its command ends.
 """
 
 from __future__ import annotations
@@ -233,8 +235,14 @@ def canonical_basis(e: Optional[int], charge: Charge, n: int) -> CanonicalBasisS
             building.pop()
         return g
 
-    for lam in reversed(verts_desc):
-        build(lam)
+    try:
+        for lam in reversed(verts_desc):
+            build(lam)
+    finally:
+        # build and resolve reach each other through their closures; without
+        # this the cycle would keep table, avectors and the rest alive until
+        # the cyclic collector ran, long after the caller dropped the result
+        del build, resolve
     return CanonicalBasisSet(
         e=e,
         charge=charge,

@@ -174,6 +174,14 @@ MUTANTS = [
         ("test_crystal.py",),
         "the merge pass cancels an addable node against each pending removable one",
     ),
+    Mutant(
+        "canonical-basis-closure-cycle",
+        "canonical.py",
+        "        del build, resolve\n",
+        "        pass\n",
+        ("test_lifetime.py",),
+        "each canonical basis is freed by reference counting when its command ends",
+    ),
 ]
 
 
