@@ -38,9 +38,10 @@ charge directly.  All peeling words of a rank are applied in one pass
 (apply_peelings) that shares the partial products of common prefixes and
 one transition table of the operator kernel, so the moves of f_i^(u) from
 a multipartition are computed once per call however many words reach it.
-Each elimination step is one FockVector.sub_scaled.  The recursion holds
-no reference cycle once canonical_basis returns, so each basis is freed
-by reference counting when its command ends.
+Each elimination step is one FockVector.sub_scaled.  The driver is one
+module-level recursive function, _build, that takes all its state as
+arguments, so it holds no reference cycle and each basis is freed by
+reference counting when its command ends.
 """
 
 from __future__ import annotations
@@ -148,30 +149,45 @@ class CanonicalBasisSet(NamedTuple):
     position: dict[Multipartition, int]
 
 
-def _reduce(
-    x: FockVector,
-    label: Multipartition,
+def _build(
+    lam: Multipartition,
+    avectors: dict[Multipartition, FockVector],
     position: dict[Multipartition, int],
-    resolve,
-) -> tuple[FockVector, dict[Multipartition, LaurentPoly]]:
-    """Subtract resolved basis vectors until off-label coefficients sit in v*Z[v].
+    vectors: dict[Multipartition, FockVector],
+    corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]],
+    building: list[Multipartition],
+) -> FockVector:
+    """The basis vector at lam, built and stored in vectors if not there yet.
 
-    Offenders are cleared greatest-gamma first, i.e. least ``position``
-    in the rank layer; ``resolve(mp)`` must return the finished basis
-    vector at mp, building it first if necessary.  An offender
-    gamma-greater than the label is legitimate: the peeling monomials are
-    not always triangular, and subtracting the offender's basis vector
-    also removes the excess it contributed on the label.
+    Reduces lam's monomial avectors[lam] by subtracting basis vectors until
+    every off-label coefficient sits in v*Z[v], clearing offenders
+    greatest-gamma first, i.e. least ``position`` in the rank layer, and
+    records the coefficients used in corrections[lam].  An offender
+    gamma-greater than lam is legitimate: the peeling monomials are not
+    always triangular, and subtracting the offender's basis vector, built
+    first by recursion, also removes the excess it contributed on lam.
+    ``building`` holds the labels whose reduction is under way; an
+    offender among them is a dependency cycle (OrderViolation), and an
+    offender without a monomial is no vertex (MissingPredecessor).
     """
-    corrections: dict[Multipartition, LaurentPoly] = {}
+    if lam in vectors:
+        return vectors[lam]
+    if lam not in avectors:
+        raise MissingPredecessor(f"no crystal vertex at {format_multipartition(lam)}")
+    if lam in building:
+        chain = " <- ".join(format_multipartition(m) for m in building + [lam])
+        raise OrderViolation(f"basis vectors depend on each other: {chain}")
+    building.append(lam)
+    x = avectors[lam]
+    corr: dict[Multipartition, LaurentPoly] = {}
     guard = 0
     limit = 4 * len(x.entries) + 64
     while True:
         offenders = [
-            mp for mp, c in x.entries.items() if mp != label and not c.in_v_ztimes()
+            mp for mp, c in x.entries.items() if mp != lam and not c.in_v_ztimes()
         ]
         if not offenders:
-            return x, corrections
+            break
         offender = min(offenders, key=position.__getitem__)
         m = bar_symmetric_part(x.coeff(offender))
         if m.is_zero() or not m.is_bar_symmetric():
@@ -179,76 +195,48 @@ def _reduce(
                 f"bar-symmetric part {m} of the coefficient "
                 f"{x.coeff(offender)} of {format_multipartition(offender)}"
             )
-        g = resolve(offender)
-        corrections[offender] = corrections.get(offender, ZERO) + m
+        g = _build(offender, avectors, position, vectors, corrections, building)
+        corr[offender] = corr.get(offender, ZERO) + m
         x = x.sub_scaled(g, m)
         guard += 1
         if guard > limit:
             raise InvariantViolated(
-                f"elimination for {format_multipartition(label)} failed to "
+                f"elimination for {format_multipartition(lam)} failed to "
                 f"terminate within {limit} steps"
             )
+    building.pop()
+    _check_reduced(x, lam)
+    corrections[lam] = corr
+    vectors[lam] = x
+    return x
 
 
 def canonical_basis(e: Optional[int], charge: Charge, n: int) -> CanonicalBasisSet:
     """The canonical basis vectors labeled by rank-n crystal vertices.
 
     Peeling words are the ones the crystal graph generated here recorded.
-    Vertices are processed in ascending gamma order; when a peeling
-    monomial carries a gamma-greater vertex, that vertex's basis vector is
-    built first, recursively.
+    Vertices are processed in ascending gamma order by _build; when a
+    peeling monomial carries a gamma-greater vertex, _build builds that
+    vertex's basis vector first, recursively.
     """
     graph = generate_component(e, charge, n)
     layer = tuple(enumerate_multipartitions(len(charge), n, charge))
     position = {mp: k for k, mp in enumerate(layer)}
     verts_desc = list(graph.vertices(n))
-    vert_set = set(verts_desc)
     words = graph.peeling_words
     peelings = {lam: words[lam] for lam in verts_desc}
     avectors = dict(zip(peelings, apply_peelings(list(peelings.values()), e, charge)))
-    table: dict[Multipartition, FockVector] = {}
+    vectors: dict[Multipartition, FockVector] = {}
     corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
     building: list[Multipartition] = []
-
-    def resolve(mp: Multipartition) -> FockVector:
-        if mp not in vert_set:
-            raise MissingPredecessor(
-                f"no crystal vertex at {format_multipartition(mp)}"
-            )
-        return build(mp)
-
-    def build(lam: Multipartition) -> FockVector:
-        if lam in table:
-            return table[lam]
-        if lam in building:
-            chain = " <- ".join(
-                format_multipartition(m) for m in building + [lam]
-            )
-            raise OrderViolation(f"basis vectors depend on each other: {chain}")
-        building.append(lam)
-        try:
-            g, corr = _reduce(avectors[lam], lam, position, resolve)
-            _check_reduced(g, lam)
-            corrections[lam] = corr
-            table[lam] = g
-        finally:
-            building.pop()
-        return g
-
-    try:
-        for lam in reversed(verts_desc):
-            build(lam)
-    finally:
-        # build and resolve reach each other through their closures; without
-        # this the cycle would keep table, avectors and the rest alive until
-        # the cyclic collector ran, long after the caller dropped the result
-        del build, resolve
+    for lam in reversed(verts_desc):
+        _build(lam, avectors, position, vectors, corrections, building)
     return CanonicalBasisSet(
         e=e,
         charge=charge,
         rank=n,
         labels=tuple(verts_desc),
-        vectors=table,
+        vectors=vectors,
         avectors=avectors,
         peelings=peelings,
         corrections=corrections,

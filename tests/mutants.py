@@ -5,8 +5,8 @@ catch it, and the claim those tests back.  The runner copies ``src/``,
 ``tests/``, ``perfbench/`` and README.md to a temporary directory, checks
 that the unmutated copy passes every named test file, then, one mutant at
 a time, requires the old text exactly once in its file, applies the
-change, runs ``pytest -x -q`` on the mutant's test files in one
-subprocess, and requires a test failure.
+change, runs ``pytest -x -q`` on the mutant's test files (or single
+tests, ``file.py::test``) in one subprocess, and requires a test failure.
 
 Run from anywhere::
 
@@ -39,7 +39,7 @@ class Mutant(NamedTuple):
     file: str  # relative to src/fockdec
     old: str
     new: str
-    tests: tuple[str, ...]  # relative to tests/
+    tests: tuple[str, ...]  # files or file.py::test, relative to tests/
     claim: str
 
     @property
@@ -60,8 +60,8 @@ MUTANTS = [
     Mutant(
         "reduce-skips-correction",
         "canonical.py",
-        "        if not offenders:\n            return x, corrections\n",
-        "        if True:\n            return x, corrections\n",
+        "        if not offenders:\n            break\n",
+        "        if True:\n            break\n",
         ("test_canonical.py",),
         "the elimination pass leaves every off-diagonal coefficient in v*Z[v]",
     ),
@@ -177,10 +177,31 @@ MUTANTS = [
     Mutant(
         "canonical-basis-closure-cycle",
         "canonical.py",
-        "        del build, resolve\n",
-        "        pass\n",
+        "    for lam in reversed(verts_desc):\n"
+        "        _build(lam, avectors, position, vectors, corrections, building)\n",
+        "    def build(lam):\n"
+        "        return build, _build(lam, avectors, position, vectors, corrections, building)\n"
+        "\n"
+        "    for lam in reversed(verts_desc):\n"
+        "        build(lam)\n",
         ("test_lifetime.py",),
         "each canonical basis is freed by reference counting when its command ends",
+    ),
+    Mutant(
+        "build-without-order-check",
+        "canonical.py",
+        "    if lam in building:\n",
+        "    if False:\n",
+        ("test_canonical.py::test_a_dependency_cycle_raises_order_violation",),
+        "a dependency cycle between basis vectors raises OrderViolation",
+    ),
+    Mutant(
+        "build-without-predecessor-check",
+        "canonical.py",
+        "    if lam not in avectors:\n",
+        "    if False:\n",
+        ("test_canonical.py::test_an_offender_that_is_no_label_raises_missing_predecessor",),
+        "an offender that is no crystal vertex raises MissingPredecessor",
     ),
 ]
 

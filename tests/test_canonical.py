@@ -348,3 +348,28 @@ def test_missing_predecessor_error_type():
     for exc_type in (MissingPredecessor, PeelingUnitriangularityViolated, OrderViolation):
         assert issubclass(exc_type, InvariantViolated)
         assert issubclass(exc_type, RuntimeError)
+
+
+# Hand-made level-2 monomials, which no crystal gives, for _build's own checks
+A, B = mp("2|-"), mp("1|1")
+POSITION = {A: 0, B: 1}
+
+
+def _monomial(label, other, c):
+    return FockVector((0, 0), {label: ONE, other: c})
+
+
+def test_a_dependency_cycle_raises_order_violation():
+    # each carries the other with a bar-symmetric coefficient, so neither
+    # can be reduced first
+    avectors = {A: _monomial(A, B, poly((-1, 1), (1, 1))), B: _monomial(B, A, ONE)}
+    with pytest.raises(OrderViolation) as info:
+        fockdec.canonical._build(A, avectors, POSITION, {}, {}, [])
+    assert str(info.value) == "basis vectors depend on each other: 2|- <- 1|1 <- 2|-"
+
+
+def test_an_offender_that_is_no_label_raises_missing_predecessor():
+    avectors = {A: _monomial(A, B, ONE)}
+    with pytest.raises(MissingPredecessor) as info:
+        fockdec.canonical._build(A, avectors, POSITION, {}, {}, [])
+    assert str(info.value) == "no crystal vertex at 1|1"

@@ -505,21 +505,14 @@ def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
             assert err == f"fockdec: {exc_type.__name__}: first line\n"
 
 
-# canonical._reduce cut short after its first correction, then the CLI run
-REDUCE_ONCE = """
+# every elimination step made to subtract nothing, so the reduction of the
+# first vertex with an offender never clears it, then the CLI run
+SUBTRACT_NOTHING = """
 import sys
-from fockdec import canonical, cli
-from fockdec.laurent import bar_symmetric_part
+from fockdec import cli
+from fockdec.fock import FockVector
 
-def reduce_once(x, label, position, resolve):
-    offenders = [mp for mp, c in x.entries.items() if mp != label and not c.in_v_ztimes()]
-    if not offenders:
-        return x, {}
-    mp = min(offenders, key=position.__getitem__)
-    m = bar_symmetric_part(x.coeff(mp))
-    return x - resolve(mp).scale(m), {mp: m}
-
-canonical._reduce = reduce_once
+FockVector.sub_scaled = lambda self, other, m: self
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -528,7 +521,7 @@ def test_an_unfinished_reduction_exits_one_with_one_line():
     argv = ["canonical", "--e", "2", "--charge=0,0", "--rank", "5", "--format", "json"]
     for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", REDUCE_ONCE, *argv],
+            [sys.executable, *flags, "-c", SUBTRACT_NOTHING, *argv],
             capture_output=True,
             text=True,
         )
