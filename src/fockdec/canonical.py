@@ -34,10 +34,11 @@ leaves an off-label coefficient outside v*Z[v]) raises InvariantViolated,
 so it holds under python -O as well.
 
 The construction never uses dominance of the charge, so it runs at any
-charge directly.  All peeling words of a rank are applied in one pass
-(apply_peelings) that shares the partial products of common prefixes and
-one transition table of the operator kernel, so the moves of f_i^(u) from
-a multipartition are computed once per call however many words reach it.
+charge directly.  All peeling words of a rank are applied in one pass,
+apply_peelings.  It keeps the vector of every word suffix it meets, so a
+suffix that several words share is applied once.  It also keeps one
+transition table of the operator kernel, so the moves of f_i^(u) from a
+multipartition are computed once per call however many words reach it.
 Each elimination step is one FockVector.sub_scaled.  The driver is one
 module-level recursive function, _build, that takes all its state as
 arguments, so it holds no reference cycle and each basis is freed by
@@ -97,32 +98,28 @@ def apply_peeling(
 def apply_peelings(
     seqs: list[tuple[tuple[int, int], ...]], e: Optional[int], charge: Charge
 ) -> list[FockVector]:
-    """apply_peeling for each word, in input order, sharing common prefixes.
+    """apply_peeling for each word, in input order, sharing common suffixes.
 
-    Words are taken in the order of their reversed forms (the order their
-    divided powers are applied in), so words with a common leading run of
-    steps are adjacent.  A stack holds the partial product after each
-    step of the current word; the next word pops back to its common
-    prefix with the current one and applies only the rest.  One transition
-    table (see fockdec.fock) serves every step of the call and is dropped
-    with it.
+    A word lists its steps last-applied first, so its vector is its first
+    step applied to the vector of the rest: A(w) = f_i^(u) A(w[1:]).  The
+    vector of every suffix met is kept, keyed by the suffix, with the
+    vacuum at (); each word is walked back to its longest suffix already
+    there and extended one step at a time.  So each distinct nonempty
+    suffix costs one apply_divided_power call; the crystal's words share
+    many, since each is a step followed by the word of a lower vertex.
+    One transition table (see fockdec.fock) serves every step of the call
+    and is dropped with it.
     """
-    words = [tuple(reversed(seq)) for seq in seqs]
+    vectors = {(): basis_vector(empty(len(charge)), charge)}
     table: dict = {}
-    out: list[Optional[FockVector]] = [None] * len(words)
-    stack = [basis_vector(empty(len(charge)), charge)]
-    prev: tuple[tuple[int, int], ...] = ()
-    for k in sorted(range(len(words)), key=words.__getitem__):
-        word = words[k]
-        common = 0
-        while common < min(len(prev), len(word)) and prev[common] == word[common]:
-            common += 1
-        del stack[common + 1 :]
-        for i, u in word[common:]:
-            stack.append(apply_divided_power(stack[-1], e, i, u, table))
-        out[k] = stack[-1]
-        prev = word
-    return out
+    for seq in seqs:
+        k = 0
+        while seq[k:] not in vectors:
+            k += 1
+        for j in reversed(range(k)):
+            i, u = seq[j]
+            vectors[seq[j:]] = apply_divided_power(vectors[seq[j + 1 :]], e, i, u, table)
+    return [vectors[seq] for seq in seqs]
 
 
 class CanonicalBasisSet(NamedTuple):

@@ -21,10 +21,11 @@ Exit codes: 0 success (factorize: all checks pass), 1 a verification
 check failed or an internal consistency check raised (one line on stderr,
 ``fockdec: <ExceptionName>: <message>``; every such check raises a
 subclass of combinatorics.InvariantViolated), 2 usage error, 3 a size
-guard tripped or the bead cut was too small.  Output is deterministic:
-identical invocations produce byte-identical bytes.  ``main`` may be
-called repeatedly in one process; it builds its parser on the first call
-and reuses it.
+guard tripped or the bead cut was too small.  Every nonzero exit writes
+one line on stderr, argparse's usage errors included.  Output is
+deterministic: identical invocations produce byte-identical bytes.
+``main`` may be called repeatedly in one process; it builds its parser on
+the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .abacus import RTooSmall, ascii_art, reading_word, stable_r, tau_inverse
 from .canonical import canonical_basis
@@ -356,8 +357,18 @@ def _add_run_flags(sub: argparse.ArgumentParser, command: str) -> None:
                      help=f"refuse ranks above this bound (default {GUARD_DEFAULT})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one 'fockdec: ...' line,
+    like every other failure; its subparsers are of this class too.  A
+    line break in the message (an unrecognized argument may hold one)
+    becomes a space."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"fockdec: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockdec",
         description="Canonical bases of higher-level Fock spaces, "
         "their factorization, and the underlying combinatorics.",

@@ -79,7 +79,6 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "Incomparable"
 
 
-@lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each a weakly decreasing tuple.
 

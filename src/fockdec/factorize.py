@@ -26,7 +26,6 @@ as Python objects, the oracle the text is tested against.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 from .canonical import CanonicalBasisSet
@@ -73,8 +72,7 @@ class PolyMatrix:
 
     ``row_nonzeros[i]`` holds row i's (column index, entry) pairs in
     ascending column order, with no zero entry; this sparse form is the
-    only one stored.  ``row_index``, the row label->index map, is built on
-    first use and cached.  Immutable.
+    only one stored.  Immutable.
     """
 
     row_labels: tuple[Multipartition, ...]
@@ -94,10 +92,6 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyMatrix is immutable; cannot set {name}")
-
-    @cached_property
-    def row_index(self) -> dict[Multipartition, int]:
-        return {label: i for i, label in enumerate(self.row_labels)}
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """The product, summed over nonzero cell pairs only."""
@@ -224,7 +218,8 @@ def verify(
     )
 
     # the row of each column's diagonal cell, None when its label is no row
-    diag_row = [drel.row_index.get(lam) for lam in drel.col_labels]
+    row_index = {label: i for i, label in enumerate(drel.row_labels)}
+    diag_row = [row_index.get(lam) for lam in drel.col_labels]
     diagonal = [ZERO] * len(diag_row)
     off_diagonal = []
     for i, cells in enumerate(drel.row_nonzeros):

@@ -12,7 +12,7 @@ division serve only the cross-checks, in fockdec.reference.
 '3*v^-1 + v^2'
 >>> str(p * (V + ONE))
 'v^-2 + v^-1 + 3*v + 3*v^2'
->>> LaurentPoly.from_pairs([[-2, 1], [1, 3]]) == p == LaurentPoly.monomial(1, -2) + V * 3
+>>> LaurentPoly.from_pairs([[-2, 1], [1, 3]]) == p == ONE.shift(-2) + V * 3
 True
 
 Coefficients are arbitrary-precision Python ints.  Every sum, difference
@@ -80,12 +80,6 @@ class LaurentPoly:
         for e, c in pairs:
             terms[e] = terms.get(e, 0) + c
         return LaurentPoly.from_terms(terms)
-
-    @staticmethod
-    def monomial(coeff: int, exp: int) -> "LaurentPoly":
-        if coeff == 0:
-            return ZERO
-        return LaurentPoly(exp, (coeff,))
 
     # -- queries ---------------------------------------------------------
 

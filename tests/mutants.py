@@ -167,6 +167,22 @@ MUTANTS = [
         "a declared runtime function that a command now calls is reported",
     ),
     Mutant(
+        "peeling-memo-extends-the-wrong-suffix",
+        "canonical.py",
+        "apply_divided_power(vectors[seq[j + 1 :]], e, i, u, table)",
+        "apply_divided_power(vectors[seq[k:]], e, i, u, table)",
+        ("test_canonical.py",),
+        "each step of a peeling word applies to the vector of the suffix after it",
+    ),
+    Mutant(
+        "peeling-memo-never-reused",
+        "canonical.py",
+        "        while seq[k:] not in vectors:\n",
+        "        while seq[k:]:\n",
+        ("test_canonical.py::test_each_distinct_suffix_is_applied_once",),
+        "apply_peelings applies each distinct nonempty suffix of its words once",
+    ),
+    Mutant(
         "crystal-merge-without-pending-count",
         "crystal.py",
         "pending += 1",

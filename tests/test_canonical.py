@@ -195,6 +195,38 @@ def test_shared_prefix_application_matches_each_word(case):
         assert apply_peeling(word, e, charge) == x
 
 
+# words that repeat and nest: each later word reuses suffixes met before,
+# and the empty word needs no step
+NESTED_WORDS = [
+    ((1, 1), (0, 1)),
+    ((0, 2), (1, 1), (0, 1)),
+    ((1, 1), (0, 1)),
+    ((0, 1),),
+    (),
+    ((1, 2), (0, 2), (1, 1), (0, 1)),
+    ((0, 2), (1, 1), (0, 1)),
+    ((0, 1), (1, 1), (0, 1)),
+]
+
+
+def test_each_distinct_suffix_is_applied_once(monkeypatch):
+    graph = generate_component(2, (0, 0), 9)
+    crystal_words = [graph.peeling_words[lam] for lam in graph.vertices(9)]
+    kernel = fockdec.canonical.apply_divided_power
+    steps = []
+
+    def counted(x, e, i, u, table):
+        steps.append((i, u))
+        return kernel(x, e, i, u, table)
+
+    monkeypatch.setattr(fockdec.canonical, "apply_divided_power", counted)
+    for words in (crystal_words, NESTED_WORDS):
+        steps.clear()
+        apply_peelings(words, 2, (0, 0))
+        assert len(steps) == len({w[k:] for w in words for k in range(len(w))})
+    assert len(steps) == 5
+
+
 def test_build_A_unit_coefficient():
     a = build_A(mp("-|2.1"), 2, (0, 0))
     assert a.coeff(mp("-|2.1")) == ONE

@@ -202,6 +202,11 @@ def test_guard_refuses_large_ranks(capsys):
     assert "rank 13:" in out
 
 
+def test_a_usage_error_is_one_line_even_with_a_line_break_in_an_argument(capsys):
+    rc, out, err = run(capsys, "order", "--left", "3", "--right", "2", "--x\ny")
+    assert (rc, out, err) == (2, "", "fockdec: unrecognized arguments: --x y\n")
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         ["canonical", "--e", "1", "--charge", "0", "--rank", "2"],
@@ -651,7 +656,7 @@ def test_main_gives_an_exit_code_for_any_small_input(argv):
     rc, out, err = _captured_main(argv)
     assert rc in (0, 1, 2, 3), (argv, rc, err)
     if rc != 0:
-        assert err, argv
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     assert _captured_main(argv) == (rc, out, err), argv
 
 

@@ -270,7 +270,7 @@ def elimination_steps(draw):
     p = LaurentPoly.from_pairs(draw(laurent_terms))
     m = draw(
         st.sampled_from([ONE, p + p.bar()])
-        | st.integers(-3, 3).map(lambda k: LaurentPoly.monomial(k, 0))
+        | st.integers(-3, 3).map(lambda k: poly((0, k)))
     )
     return g.scale(m) + rest, g, m, rest
 

@@ -96,9 +96,7 @@ CASES = [
     ("crystal --e 2 --charge 0,0 --rank 13 --format csv", 2, "e3b0c44298fc1c14"),
 ]
 
-# the one stderr line fockdec writes for each failing case; None where
-# argparse reports the error, since its usage text differs across Python
-# versions
+# the one stderr line fockdec writes for each failing case
 STDERR = {
     "factorize --e inf --charge 0,0 --rank 3": "fockdec: factorize needs a finite --e",
     "canonical --e 2 --charge 0,0 --rank 4 --format dot":
@@ -112,7 +110,8 @@ STDERR = {
     "abacus --multipartition 3.1 --charge 0 --e 2 --r 1":
         "fockdec: r=1 is too small; the least valid choice is 3 (use --r 3 or more)",
     "order --left 3 --right 2|1": "fockdec: levels differ: 1 vs 2",
-    "order --left 3|1 --right 2|2 --charge 0,0 --pad 3": None,
+    "order --left 3|1 --right 2|2 --charge 0,0 --pad 3":
+        "fockdec: unrecognized arguments: --pad 3",
     "factorize --e inf --charge 0,0 --rank 13 --format dot":
         "fockdec: factorize needs a finite --e",
     "crystal --e 2 --charge 0,0 --rank 13 --format csv":
@@ -137,8 +136,7 @@ def test_stdout_digest(argv, rc, digest):
 def test_stderr_line(argv, rc):
     got_rc, _, err = _run(argv)
     assert got_rc == rc
-    if STDERR[argv] is not None:
-        assert err == STDERR[argv] + "\n"
+    assert err == STDERR[argv] + "\n"
 
 
 if __name__ == "__main__":

@@ -210,7 +210,7 @@ def test_arithmetic_matches_the_dict_reference(a, b, k, exp, coeff):
 
 # monomials are the usual coefficients of an elimination step
 small_polys = laurent_polys | st.builds(
-    LaurentPoly.monomial, st.integers(-3, 3), st.integers(-4, 4)
+    lambda c, k: poly((k, c)), st.integers(-3, 3), st.integers(-4, 4)
 )
 
 
@@ -297,9 +297,3 @@ def test_positivity_predicates():
     assert poly((0, 1), (2, 3)).in_nonneg_v_poly()
     assert not poly((0, 1), (2, -3)).in_nonneg_v_poly()
     assert not poly((-1, 1)).in_nonneg_v_poly()
-
-
-def test_monomial_constructor():
-    assert LaurentPoly.monomial(4, -3) == poly((-3, 4))
-    assert LaurentPoly.monomial(1, 2) == poly((2, 1))
-    assert LaurentPoly.monomial(0, 5) == ZERO

@@ -132,7 +132,6 @@ UNREACHED = {
     "fock.FockVector.__str__": PROTOCOL,
     "fock.FockVector.__repr__": PROTOCOL,
     "laurent.LaurentPoly.from_pairs": DOCTEST,
-    "laurent.LaurentPoly.monomial": DOCTEST,
     "laurent.LaurentPoly.__mul__": PROTOCOL,
     "laurent.LaurentPoly.__rmul__": PROTOCOL,
     "laurent.LaurentPoly.shift": REFERENCE,
