@@ -153,7 +153,7 @@ def i_nodes(
 
     Modulo e=1 every node is a 0-node, so i_nodes(mp, charge, 1, 0) lists
     every addable and every removable node of mp; at e=inf the crystal
-    reads each content's i-nodes from it as one run of each list.
+    groups that scan's nodes by content in one pass.
 
     >>> i_nodes(((1,), ()), (0, 0), 2, 0)
     ([((0, 2), 1, 0)], [(0, 1)])

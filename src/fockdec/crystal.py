@@ -30,9 +30,9 @@ vertex that string reaches.
 
 At finite e every residue mod e gets its own i-node scan.  At e=inf a
 vertex is scanned once, modulo 1, which lists all its addable and
-removable nodes in the node order, so by content: the i-nodes of each
-content i form one run of each list, and the runs of the addable contents
-are the residues to visit, in ascending order.
+removable nodes in the node order, and one pass groups them by content:
+the contents of its addable nodes are the residues to visit, and the
+node order puts them in ascending order.
 """
 
 from __future__ import annotations
@@ -81,8 +81,10 @@ def _good_nodes(
 
     At finite e every residue in range(e) gets its own i_nodes scan.  At
     e=inf one scan modulo 1 lists every node, both lists ascending in the
-    node order and so by content; the i-nodes of residue i are one run of
-    each list, and only the contents of addable nodes are visited.
+    node order and so by content, and one pass groups them by content:
+    each addable node opens or joins the group of its content, each
+    removable node joins its content's group if there is one.  The groups
+    keep node order, and open in ascending content.
     """
     if e is not None:
         return [
@@ -91,24 +93,17 @@ def _good_nodes(
             if (good := _good_addable(*i_nodes(mp, charge, e, i))) is not None
         ]
     adds, rems = i_nodes(mp, charge, 1, 0)
-    out = []
-    na, nr = len(adds), len(rems)
-    a = r = 0
-    while a < na:
-        i = adds[a][0][0]
-        b = a + 1
-        while b < na and adds[b][0][0] == i:
-            b += 1
-        while r < nr and rems[r][0] < i:
-            r += 1
-        t = r
-        while t < nr and rems[t][0] == i:
-            t += 1
-        good = _good_addable(adds[a:b], rems[r:t])
-        if good is not None:
-            out.append((i, good))
-        a, r = b, t
-    return out
+    groups: dict[int, tuple[list, list]] = {}
+    for add in adds:
+        groups.setdefault(add[0][0], ([], []))[0].append(add)
+    for rem in rems:
+        if rem[0] in groups:
+            groups[rem[0]][1].append(rem)
+    return [
+        (i, good)
+        for i, group in groups.items()
+        if (good := _good_addable(*group)) is not None
+    ]
 
 
 class CrystalGraph:

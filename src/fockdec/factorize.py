@@ -10,9 +10,10 @@ multiple of the corresponding no-modulus basis vector; the multiples
 assemble into the relative matrix, which is unitriangular with
 off-diagonal entries in v*Z[v] and nonnegative coefficients.  verify()
 rechecks all of that from the nonzero cells of the finished matrices,
-including the v=1 specialization.  back_substitution_oracle in
-fockdec.reference solves for the relative matrix independently, on the
-dense tables.
+including the v=1 specialization, and reports one entry per row of
+_CHECKS, the table of its five checks' names and details.
+back_substitution_oracle in fockdec.reference solves for the relative
+matrix independently, on the dense tables.
 
 Rendering: all four formats walk the nonzero cells and format each
 distinct cell once per matrix; matrix_to_text also pads each distinct
@@ -175,6 +176,16 @@ def extract_relative(ge: CanonicalBasisSet, ginf: CanonicalBasisSet) -> PolyMatr
     return PolyMatrix(ginf.labels, ge.labels, tuple(map(tuple, rows)))
 
 
+# verify's report rows, in report order: (check name, detail)
+_CHECKS = (
+    ("product", "finite-e matrix equals no-modulus matrix times relative matrix"),
+    ("unitriangular", "unit diagonal, off-diagonal entries in v*Z[v]"),
+    ("order", "nonzero entries only where the column label dominates the row label"),
+    ("positivity", "all entries have nonnegative coefficients and exponents"),
+    ("specialization", "the identity also holds for the integer matrices at v=1"),
+)
+
+
 def verify(
     de: PolyMatrix,
     dinf: PolyMatrix,
@@ -183,7 +194,9 @@ def verify(
 ) -> list[dict]:
     """Structural checks on a finished factorization, as a report list.
 
-    The product dinf*drel is formed once, over nonzero cells only; the
+    The report has one {"check", "pass", "detail"} entry per row of the
+    module's _CHECKS table, in its order; each check is one boolean.  The
+    product dinf*drel is formed once, over nonzero cells only; the
     "product" check compares it with de over Z[v, 1/v] and the
     "specialization" check compares it with de at v=1, together with an
     independent integer product of the v=1 matrices.  The dominance
@@ -201,20 +214,11 @@ def verify(
         raise ValueError(
             f"charge {charge} has level {len(charge)} but the labels have level {found}"
         )
-    report = []
-
     prod = dinf.matmul(drel)
-    ok = (
+    prod_ok = (
         de.row_labels == dinf.row_labels
         and len(de.col_labels) == len(prod.col_labels)
         and prod.row_nonzeros == de.row_nonzeros
-    )
-    report.append(
-        {
-            "check": "product",
-            "pass": bool(ok),
-            "detail": "finite-e matrix equals no-modulus matrix times relative matrix",
-        }
     )
 
     # the row of each column's diagonal cell, None when its label is no row
@@ -228,14 +232,8 @@ def verify(
                 diagonal[j] = c
             else:
                 off_diagonal.append((i, j, c))
-    diag_ok = all(c == ONE for c in diagonal)
-    tri_ok = all(c.in_v_ztimes() for _, _, c in off_diagonal)
-    report.append(
-        {
-            "check": "unitriangular",
-            "pass": bool(diag_ok and tri_ok),
-            "detail": "unit diagonal, off-diagonal entries in v*Z[v]",
-        }
+    tri_ok = all(c == ONE for c in diagonal) and all(
+        c.in_v_ztimes() for _, _, c in off_diagonal
     )
 
     # one prefix-sum key per distinct label, not two per nonzero cell
@@ -246,13 +244,6 @@ def verify(
         compare_prefix_sums(key[lam], key[nu]) is Ordering.GREATER
         for lam, nu in zip(cols, rows)
     )
-    report.append(
-        {
-            "check": "order",
-            "pass": bool(order_ok),
-            "detail": "nonzero entries only where the column label dominates the row label",
-        }
-    )
 
     pos_ok = all(
         p.in_nonneg_v_poly()
@@ -260,26 +251,16 @@ def verify(
         for row in m.row_nonzeros
         for _, p in row
     )
-    report.append(
-        {
-            "check": "positivity",
-            "pass": bool(pos_ok),
-            "detail": "all entries have nonnegative coefficients and exponents",
-        }
-    )
 
     lhs = de.eval_one()
     spec_ok = lhs == prod.eval_one() and _int_matmul(
         _int_rows(dinf), _int_rows(drel), len(drel.col_labels)
     ) == lhs
-    report.append(
-        {
-            "check": "specialization",
-            "pass": bool(spec_ok),
-            "detail": "the identity also holds for the integer matrices at v=1",
-        }
-    )
-    return report
+    passes = (prod_ok, tri_ok, order_ok, pos_ok, spec_ok)
+    return [
+        {"check": name, "pass": bool(ok), "detail": detail}
+        for (name, detail), ok in zip(_CHECKS, passes)
+    ]
 
 
 def all_pass(report: list[dict]) -> bool:

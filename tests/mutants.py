@@ -137,10 +137,34 @@ MUTANTS = [
     Mutant(
         "inf-run-boundary-inclusive",
         "crystal.py",
-        "while r < nr and rems[r][0] < i:",
-        "while r < nr and rems[r][0] <= i:",
+        "        if rem[0] in groups:\n            groups[rem[0]][1].append(rem)\n",
+        "        if rem[0] + 1 in groups:\n            groups[rem[0] + 1][1].append(rem)\n",
         ("test_crystal.py",),
-        "at e=inf each content's removable nodes are one run of the modulus-1 scan",
+        "at e=inf each content's removable nodes join that content's group of the modulus-1 scan",
+    ),
+    Mutant(
+        "verify-order-arguments-swapped",
+        "factorize.py",
+        "compare_prefix_sums(key[lam], key[nu]) is Ordering.GREATER",
+        "compare_prefix_sums(key[nu], key[lam]) is Ordering.GREATER",
+        ("test_factorize.py",),
+        "the order check requires each column label to dominate its rows' labels",
+    ),
+    Mutant(
+        "verify-diagonal-taken-as-one",
+        "factorize.py",
+        "diagonal = [ZERO] * len(diag_row)",
+        "diagonal = [ONE] * len(diag_row)",
+        ("test_factorize.py",),
+        "a relative matrix column without its diagonal cell fails the unitriangular check",
+    ),
+    Mutant(
+        "verify-product-and-unitriangular-swapped",
+        "factorize.py",
+        "passes = (prod_ok, tri_ok, order_ok, pos_ok, spec_ok)",
+        "passes = (tri_ok, prod_ok, order_ok, pos_ok, spec_ok)",
+        ("test_factorize.py",),
+        "each report entry carries the verdict of its own check",
     ),
     Mutant(
         "json-cell-indent-off-by-one-level",

@@ -20,7 +20,7 @@ from fockdec.combinatorics import (
     parse_multipartition,
     rank,
 )
-from fockdec.crystal import CrystalGraph, _good_addable, generate_component
+from fockdec.crystal import CrystalGraph, _good_addable, _good_nodes, generate_component
 from fockdec.reference import (
     Node,
     addable_nodes,
@@ -283,6 +283,38 @@ def test_merge_pass_finds_the_signature_good_node(case):
         assert good is None
     else:
         assert good == (node_key(node, charge), node.comp - 1, node.row - 1)
+
+
+@st.composite
+def inf_grouping_cases(draw):
+    """(multipartition, charge) at levels 1-4; the charge's entries are
+    multiples of 100, so components of different charge share no content,
+    or small, so their contents interleave."""
+    level = draw(st.integers(1, 4))
+    step = draw(st.sampled_from((1, 100)))
+    charge = tuple(step * s for s in draw(
+        st.lists(st.integers(-3, 3), min_size=level, max_size=level)
+    ))
+    parts = st.lists(st.integers(1, 6), max_size=5).map(
+        lambda p: tuple(sorted(p, reverse=True))
+    )
+    return tuple(draw(st.lists(parts, min_size=level, max_size=level))), charge
+
+
+@given(inf_grouping_cases())
+@settings(max_examples=200, deadline=None)
+@example((((1,), ()), (0, 0)))  # a removable 0-node cancels the addable one
+@example((((2, 1), (1,), (3,), ()), (0, 100, -100, 200)))
+def test_inf_grouping_matches_one_scan_per_content(case):
+    # the e=inf grouping of one modulo-1 scan gives, content by content,
+    # the good node of that content's own scan, in ascending content
+    lam, charge = case
+    contents = sorted({content(node, charge) for node in addable_nodes(lam, charge)})
+    assert _good_nodes(lam, None, charge) == [
+        (i, good)
+        for i in contents
+        if (good := _good_addable(*i_nodes(lam, charge, None, i))) is not None
+    ]
 
 
 def test_finite_e_generation_reads_no_node_lists(monkeypatch):
