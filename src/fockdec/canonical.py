@@ -217,7 +217,7 @@ def canonical_basis(e: Optional[int], charge: Charge, n: int) -> CanonicalBasisS
     vertex's basis vector first, recursively.
     """
     graph = generate_component(e, charge, n)
-    layer = tuple(enumerate_multipartitions(len(charge), n, charge))
+    layer = tuple(enumerate_multipartitions(n, charge))
     position = {mp: k for k, mp in enumerate(layer)}
     verts_desc = list(graph.vertices(n))
     words = graph.peeling_words

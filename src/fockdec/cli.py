@@ -17,13 +17,20 @@ shared checks run once, in this order: ``factorize`` needs a finite
 (exit 3).  The handler then makes its own input checks, so a usage error
 is reported before a tripped guard.
 
+Each handler returns ``(document, exit code)`` and writes nothing; a
+refusal is raised with its message and code.  ``main`` alone writes
+stdout and stderr (argparse writes its help and usage errors from inside
+``main``): the document in one write and one flush, or one line on stderr.
+
 Exit codes: 0 success (factorize: all checks pass), 1 a verification
 check failed or an internal consistency check raised (one line on stderr,
 ``fockdec: <ExceptionName>: <message>``; every such check raises a
 subclass of combinatorics.InvariantViolated), 2 usage error, 3 a size
-guard tripped or the bead cut was too small.  Every nonzero exit writes
-one line on stderr, argparse's usage errors included.  Output is
-deterministic: identical invocations produce byte-identical bytes.
+guard tripped or the bead cut was too small, 4 the document could not be
+written (stdout closed or full, or a closed pipe: ``fockdec: cannot write
+output: <reason>``), 130 interrupted (``fockdec: interrupted``).  Every
+nonzero exit writes one line on stderr, argparse's usage errors included.
+Output is deterministic: identical invocations produce byte-identical bytes.
 ``main`` may be called repeatedly in one process; it builds its parser on
 the first call and reuses it.
 """
@@ -31,8 +38,10 @@ the first call and reuses it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from typing import NoReturn, Optional, Sequence
 
@@ -74,12 +83,12 @@ __all__ = [
 GUARD_DEFAULT = 12
 
 
-def _out(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+class _Refusal(Exception):
+    """A command refused to run; ``args`` is (message, exit code)."""
 
 
-def _out_json(fields: dict) -> None:
-    """Write ``json.dumps(fields, indent=2)`` plus a newline, byte for byte.
+def _render_json(fields: dict) -> str:
+    """``json.dumps(fields, indent=2)`` plus a newline, byte for byte.
 
     PolyMatrix values are written by append_matrix_json, sharing one
     label -> JSON string map, so a label that heads rows or columns of
@@ -97,7 +106,7 @@ def _out_json(fields: dict) -> None:
             parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
         sep = ",\n  "
     parts.append("\n}\n")
-    sys.stdout.write("".join(parts))
+    return "".join(parts)
 
 
 def _fail(message: str, code: int) -> int:
@@ -105,27 +114,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def cmd_crystal(args: argparse.Namespace) -> int:
-    """Emit the crystal component in dot, json, or text form."""
+def cmd_crystal(args: argparse.Namespace) -> tuple[str, int]:
+    """The crystal component in dot, json, or text form."""
     graph = generate_component(args.e, args.charge, args.rank)
     if args.format == "json":
-        _out(json.dumps(graph.to_json_obj(), indent=2))
-    elif args.format == "dot":
-        _out(graph.to_dot())
-    else:
-        lines = []
-        for n, layer in enumerate(graph.layers):
-            names = " ".join(format_multipartition(mp) for mp in layer)
-            lines.append(f"rank {n}: {names}")
-        for (src, i), dst in sorted(
-            graph.edges.items(),
-            key=lambda kv: (kv[0][1], kv[0][0]),
-        ):
-            lines.append(
-                f"{format_multipartition(src)} -{i}-> {format_multipartition(dst)}"
-            )
-        _out("\n".join(lines))
-    return 0
+        return json.dumps(graph.to_json_obj(), indent=2), 0
+    if args.format == "dot":
+        return graph.to_dot(), 0
+    lines = []
+    for n, layer in enumerate(graph.layers):
+        names = " ".join(format_multipartition(mp) for mp in layer)
+        lines.append(f"rank {n}: {names}")
+    for (src, i), dst in sorted(
+        graph.edges.items(),
+        key=lambda kv: (kv[0][1], kv[0][0]),
+    ):
+        lines.append(
+            f"{format_multipartition(src)} -{i}-> {format_multipartition(dst)}"
+        )
+    return "\n".join(lines), 0
 
 
 # the non-JSON layouts of one matrix
@@ -136,19 +143,19 @@ _MATRIX_RENDERERS = {
 }
 
 
-def cmd_canonical(args: argparse.Namespace) -> int:
-    """Emit the canonical-basis coefficient matrix."""
+def cmd_canonical(args: argparse.Namespace) -> tuple[str, int]:
+    """The canonical-basis coefficient matrix."""
     m = basis_matrix(canonical_basis(args.e, args.charge, args.rank))
     if args.format == "json":
         e = "inf" if args.e is None else str(args.e)
-        _out_json({"e": e, "charge": list(args.charge), "rank": args.rank, "matrix": m})
-    else:
-        _out(_MATRIX_RENDERERS[args.format](m))
-    return 0
+        fields = {"e": e, "charge": list(args.charge), "rank": args.rank, "matrix": m}
+        return _render_json(fields), 0
+    return _MATRIX_RENDERERS[args.format](m), 0
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
-    """Emit both basis matrices, the relative matrix, and the report."""
+def cmd_factorize(args: argparse.Namespace) -> tuple[str, int]:
+    """Both basis matrices, the relative matrix, and the report; exit
+    code 1 when a check fails."""
     ge = canonical_basis(args.e, args.charge, args.rank)
     ginf = canonical_basis(None, args.charge, args.rank)
     de = basis_matrix(ge)
@@ -163,7 +170,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         ("relative matrix", drel),
     ]
     if args.format == "json":
-        _out_json(
+        doc = _render_json(
             {
                 "e": args.e,
                 "charge": list(args.charge),
@@ -182,14 +189,14 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         parts.append("# verification\n")
         for item in report:
             parts.append(f"# {item['check']},{'pass' if item['pass'] else 'FAIL'}\n")
-        sys.stdout.write("".join(parts))
+        doc = "".join(parts)
     elif args.format == "latex":
         blocks = []
         for title, m in sections:
             blocks += [f"% {title}", matrix_to_latex(m)]
         for item in report:
             blocks.append(f"% {item['check']}: {'pass' if item['pass'] else 'FAIL'}")
-        _out("\n".join(blocks))
+        doc = "\n".join(blocks)
     else:
         blocks = []
         for title, m in sections:
@@ -199,76 +206,65 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             status = "PASS" if item["pass"] else "FAIL"
             blocks.append(f"{item['check']}: {status} ({item['detail']})")
         blocks.append("all checks passed" if ok else "verification FAILED")
-        _out("\n".join(blocks))
-    return 0 if ok else 1
+        doc = "\n".join(blocks)
+    return doc, 0 if ok else 1
 
 
-def cmd_abacus(args: argparse.Namespace) -> int:
-    """Emit the bead labels, reading sequences, and drawing."""
+def cmd_abacus(args: argparse.Namespace) -> tuple[str, int]:
+    """The bead labels, reading sequences, and drawing."""
     mp, charge, e = args.multipartition, args.charge, args.e
     if len(mp) != len(charge):
-        return _fail(
+        raise _Refusal(
             f"level {len(mp)} multipartition with level {len(charge)} charge", 2
         )
     if (args.r is None) == (args.stable_for is None):
-        return _fail("give exactly one of --r and --stable-for", 2)
+        raise _Refusal("give exactly one of --r and --stable-for", 2)
     r = args.r if args.stable_for is None else stable_r(mp, charge, e, args.stable_for)
     try:
         ks = tau_inverse(mp, charge, e, r)
     except RTooSmall as exc:
-        return _fail(f"{exc} (use --r {exc.suggested} or more)", 3)
+        raise _Refusal(f"{exc} (use --r {exc.suggested} or more)", 3) from exc
     data = reading_word(ks, e, len(charge))
     if args.format == "json":
-        obj = {"r": r, **data.to_json_obj()}
-        _out(json.dumps(obj, indent=2))
-    else:
-        rows = [("r", (r,))] + [
-            (name, getattr(data, name))
-            for name in ("k", "w", "c", "d", "m", "phi", "a", "b", "zeta")
-        ]
-        width = max(len(name) for name, _ in rows)
-        lines = [
-            f"{name.ljust(width)} = {', '.join(str(x) for x in seq)}"
-            for name, seq in rows
-        ]
-        lines.append("")
-        lines.append(ascii_art(ks, e, len(charge)))
-        _out("\n".join(lines))
-    return 0
+        return json.dumps({"r": r, **data.to_json_obj()}, indent=2), 0
+    rows = [("r", (r,))] + [
+        (name, getattr(data, name))
+        for name in ("k", "w", "c", "d", "m", "phi", "a", "b", "zeta")
+    ]
+    width = max(len(name) for name, _ in rows)
+    lines = [
+        f"{name.ljust(width)} = {', '.join(str(x) for x in seq)}"
+        for name, seq in rows
+    ]
+    lines.append("")
+    lines.append(ascii_art(ks, e, len(charge)))
+    return "\n".join(lines), 0
 
 
-def cmd_order(args: argparse.Namespace) -> int:
-    """Emit the dominance relation between two multipartitions."""
+def cmd_order(args: argparse.Namespace) -> tuple[str, int]:
+    """The dominance relation between two multipartitions."""
     left, right, charge = args.left, args.right, args.charge
     if len(left) != len(right):
-        return _fail(
-            f"levels differ: {len(left)} vs {len(right)}", 2
-        )
+        raise _Refusal(f"levels differ: {len(left)} vs {len(right)}", 2)
     if charge is None:
         charge = (0,) * len(left)
     if len(charge) != len(left):
-        return _fail(
+        raise _Refusal(
             f"level {len(left)} multipartitions with level {len(charge)} charge", 2
         )
     try:
         rel = compare_dominance(left, right, charge)
     except ValueError as exc:
-        return _fail(str(exc), 2)
+        raise _Refusal(str(exc), 2) from exc
     if args.format == "json":
-        _out(
-            json.dumps(
-                {
-                    "left": format_multipartition(left),
-                    "right": format_multipartition(right),
-                    "charge": list(charge),
-                    "relation": rel.value,
-                },
-                indent=2,
-            )
-        )
-    else:
-        _out(rel.value)
-    return 0
+        obj = {
+            "left": format_multipartition(left),
+            "right": format_multipartition(right),
+            "charge": list(charge),
+            "relation": rel.value,
+        }
+        return json.dumps(obj, indent=2), 0
+    return rel.value, 0
 
 
 # command name -> (handler, the formats it writes, in --help order)
@@ -448,27 +444,45 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(_join_dash_values(argv))
+        doc, code = _dispatch(_parser().parse_args(_join_dash_values(argv)))
+        out = sys.stdout
+        if out is None:
+            raise OSError("stdout is closed")
+        out.write(doc if doc.endswith("\n") else doc + "\n")
+        out.flush()
+        return code
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        return _dispatch(args)
+        # argparse has written its help or its one-line usage error
+        return exc.code if isinstance(exc.code, int) else 2
+    except _Refusal as exc:
+        return _fail(*exc.args)
     except InvariantViolated as exc:
         # raised only when the construction contradicts itself; exit code 1
         first = (str(exc).splitlines() or [""])[0]
         return _fail(f"{type(exc).__name__}: {first}", 1)
+    except OSError as exc:
+        # the handlers do no I/O, so the write or the flush failed; point
+        # the descriptor at the null device, so that the flush at
+        # interpreter exit has nothing left to fail on
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return _fail(f"cannot write output: {exc.strerror or exc}", 4)
+    except KeyboardInterrupt:
+        return _fail("interrupted", 130)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
     handler, formats = COMMANDS[args.command]
     if args.command == "factorize" and args.e is None:
-        return _fail("factorize needs a finite --e", 2)
+        raise _Refusal("factorize needs a finite --e", 2)
     if args.format not in formats:
-        return _fail(f"{args.command} cannot be written as {args.format}", 2)
+        raise _Refusal(f"{args.command} cannot be written as {args.format}", 2)
     # only crystal, canonical and factorize take --guard
     if "guard" in args and args.rank > args.guard:
-        return _fail(
+        raise _Refusal(
             f"rank {args.rank} exceeds the guard {args.guard}; "
             "raise --guard to confirm a computation this large",
             3,

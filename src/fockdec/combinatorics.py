@@ -337,24 +337,19 @@ def gamma_lex_sorted(mps: Iterable[Multipartition], charge: Charge) -> list[Mult
     return sorted(mps, key=keys.__getitem__, reverse=True)
 
 
-def enumerate_multipartitions(
-    level: int, n: int, charge: Optional[Charge] = None
-) -> list[Multipartition]:
-    """All level-l multipartitions of rank n, in descending gamma-lex order.
+def enumerate_multipartitions(n: int, charge: Charge) -> list[Multipartition]:
+    """All multipartitions of rank n and of the charge's level, in
+    descending gamma-lex order.
 
-    The order depends on the charge (default all zeros), which is why the
-    charge is accepted here: matrix rows for a charged module must be
-    ordered with that same charge.
+    The order depends on the charge, which is why the charge is accepted
+    here: matrix rows for a charged module must be ordered with that same
+    charge.
 
-    >>> [format_multipartition(m) for m in enumerate_multipartitions(1, 3)]
+    >>> [format_multipartition(m) for m in enumerate_multipartitions(3, (0,))]
     ['3', '2.1', '1.1.1']
     """
-    if charge is None:
-        charge = (0,) * level
-    if len(charge) != level:
-        raise ValueError(f"level {level} with charge {charge}")
     out: list[Multipartition] = []
-    for sizes in _compositions(n, level):
+    for sizes in _compositions(n, len(charge)):
         for combo in product(*(partitions(k) for k in sizes)):
             out.append(tuple(combo))
     return gamma_lex_sorted(out, charge)

@@ -243,6 +243,22 @@ MUTANTS = [
         ("test_canonical.py::test_an_offender_that_is_no_label_raises_missing_predecessor",),
         "an offender that is no crystal vertex raises MissingPredecessor",
     ),
+    Mutant(
+        "write-failure-handler-narrowed",
+        "cli.py",
+        "    except OSError as exc:\n",
+        "    except BrokenPipeError as exc:\n",
+        ("test_cli.py::test_a_failed_write_exits_four_with_one_line",),
+        "any failed write of the document, not only a closed pipe, is one line and exit 4",
+    ),
+    Mutant(
+        "write-failure-leaves-the-buffer",
+        "cli.py",
+        "            os.dup2(null, fd)\n",
+        "",
+        ("test_cli.py::test_a_failed_write_exits_four_with_one_line",),
+        "after a failed write the flush at interpreter exit adds nothing to stderr",
+    ),
 ]
 
 

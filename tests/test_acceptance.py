@@ -227,7 +227,7 @@ def test_acceptance_5_independent_oracles(capsys):
 def test_acceptance_6_operator_identities(capsys):
     for charge in [(0,), (0, 0), (0, 0, 0)]:
         for n in range(4):
-            for lam in enumerate_multipartitions(len(charge), n, charge):
+            for lam in enumerate_multipartitions(n, charge):
                 x = basis_vector(lam, charge)
                 for e in SWEEP_E:
                     for i in range(e):
@@ -279,7 +279,7 @@ def test_acceptance_8_order_sanity(capsys):
         Ordering.INCOMPARABLE: Ordering.INCOMPARABLE,
     }
     for charge in [(0, 0), (0, 1), (1, 3)]:
-        mps = enumerate_multipartitions(2, 4, charge)
+        mps = enumerate_multipartitions(4, charge)
         assert len(mps) == 20
         rel = {}
         for a in mps:

@@ -128,7 +128,7 @@ def test_peeling_monomials_first_leave_triangularity_at_rank_9():
 def test_layer_and_positions_on_the_basis_set():
     for e, charge, n in [(2, (0, 0), 4), (None, (1, -1, 2), 3)]:
         cb = canonical_basis(e, charge, n)
-        assert cb.layer == tuple(enumerate_multipartitions(len(charge), n, charge))
+        assert cb.layer == tuple(enumerate_multipartitions(n, charge))
         assert cb.position == {m: k for k, m in enumerate(cb.layer)}
         assert list(cb.labels) == sorted(cb.labels, key=cb.position.__getitem__)
 

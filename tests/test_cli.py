@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -559,6 +560,85 @@ def test_a_broken_bead_invariant_exits_one_with_one_line():
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("fockdec: InvariantViolated: "), proc.stderr
+
+
+# -- failures at the process boundary --------------------------------------
+
+# one small command line per command whose write the tests make fail
+WRITES = {
+    "crystal": ["crystal", "--e", "2", "--charge", "0,0", "--rank", "3"],
+    "factorize": ["factorize", "--e", "3", "--charge", "0,1,2", "--rank", "6"],
+    "order": ["order", "--left", "2", "--right", "1.1", "--charge", "0"],
+}
+
+
+# stdout buffered, as in a shell without PYTHONUNBUFFERED: the document
+# then stays in the buffer after a failed flush, for the flush at exit
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _full_device(argv):
+    with open("/dev/full", "w") as full:
+        return subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=BUFFERED)
+
+
+def _closed_stdout(argv):
+    # the shell closes descriptor 1 before Python starts, so sys.stdout is None
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                          stderr=subprocess.PIPE, text=True, env=BUFFERED)
+
+
+def _closed_pipe(argv):
+    # the read end is closed before the child starts, so no reader is ever
+    # there and the write meets a closed pipe every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=BUFFERED)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("cmd", sorted(WRITES))
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        pytest.param(
+            _full_device, "No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="no /dev/full on this system"),
+        ),
+        (_closed_stdout, "stdout is closed"),
+        (_closed_pipe, "Broken pipe"),
+    ],
+    ids=["full-device", "closed-stdout", "closed-pipe"],
+)
+def test_a_failed_write_exits_four_with_one_line(target, reason, cmd):
+    proc = target([sys.executable, "-m", "fockdec", *WRITES[cmd]])
+    assert (proc.returncode, proc.stderr) == (4, f"fockdec: cannot write output: {reason}\n")
+
+
+# a stage that sends its own process SIGINT, then the CLI run
+INTERRUPTED = """
+import os, signal, sys, time
+from fockdec import cli
+
+def interrupted(*args):
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(60)
+
+cli.extract_relative = interrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_interrupt_exits_130_with_one_line():
+    argv = ["factorize", "--e", "2", "--charge=0,0", "--rank", "3", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", INTERRUPTED, *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "fockdec: interrupted\n")
 
 
 # -- fuzzing main over small arguments -----------------------------------

@@ -105,7 +105,7 @@ def test_add_remove_node():
 
 def test_add_remove_are_inverse():
     charge = (0, 1)
-    for lam in enumerate_multipartitions(2, 3):
+    for lam in enumerate_multipartitions(3, charge):
         for node in addable_nodes(lam, charge):
             bigger = add_node(lam, node)
             assert rank(bigger) == rank(lam) + 1
@@ -232,7 +232,7 @@ def equal_rank_pairs(draw):
     level = draw(st.integers(1, 3))
     charge = tuple(draw(st.lists(st.integers(-4, 4), min_size=level, max_size=level)))
     n = draw(st.integers(0, 6))
-    layer = enumerate_multipartitions(level, n, charge)
+    layer = enumerate_multipartitions(n, charge)
     return charge, draw(st.sampled_from(layer)), draw(st.sampled_from(layer))
 
 
@@ -259,7 +259,7 @@ def test_compare_dominance_takes_no_modulus():
 def test_order_axioms_exhaustive():
     charges = [(0, 0), (0, 1), (1, 3)]
     for charge in charges:
-        mps = enumerate_multipartitions(2, 3, charge)
+        mps = enumerate_multipartitions(3, charge)
         rel = {}
         for a in mps:
             for b in mps:
@@ -299,7 +299,7 @@ def deep_cut_cases(draw):
     level = draw(st.integers(1, 3))
     charge = tuple(draw(st.lists(st.integers(-6, 40), min_size=level, max_size=level)))
     n = draw(st.integers(0, 5 if level < 3 else 4))
-    layer = enumerate_multipartitions(level, n, charge)
+    layer = enumerate_multipartitions(n, charge)
     a, b = draw(st.sampled_from(layer)), draw(st.sampled_from(layer))
     return charge, draw(st.integers(0, 7)), layer, a, b
 
@@ -327,7 +327,7 @@ def test_gamma_lex_order_is_pad_invariant(case):
 
 def test_gamma_lex_refines_dominance():
     for charge in [(0, 0), (1, 3)]:
-        mps = enumerate_multipartitions(2, 4, charge)
+        mps = enumerate_multipartitions(4, charge)
         for i, a in enumerate(mps):
             for b in mps[i + 1 :]:
                 # a sorts before b, so b must never strictly dominate a
@@ -399,17 +399,17 @@ def test_gamma_key_width_depends_on_level_and_rank_only(level):
 
 def test_gamma_lex_sorted_is_deterministic():
     charge = (0, 0)
-    mps = enumerate_multipartitions(2, 3, charge)
+    mps = enumerate_multipartitions(3, charge)
     assert gamma_lex_sorted(list(reversed(mps)), charge) == mps
 
 
 def test_enumeration_fixtures():
-    assert [format_multipartition(m) for m in enumerate_multipartitions(1, 3)] == [
+    assert [format_multipartition(m) for m in enumerate_multipartitions(3, (0,))] == [
         "3",
         "2.1",
         "1.1.1",
     ]
-    assert [format_multipartition(m) for m in enumerate_multipartitions(2, 3)] == [
+    assert [format_multipartition(m) for m in enumerate_multipartitions(3, (0, 0))] == [
         "-|3",
         "3|-",
         "1|2",
@@ -421,7 +421,8 @@ def test_enumeration_fixtures():
         "-|1.1.1",
         "1.1.1|-",
     ]
-    assert enumerate_multipartitions(2, 0) == [((), ())]
-    assert len(enumerate_multipartitions(3, 2)) == 9
-    with pytest.raises(ValueError):
-        enumerate_multipartitions(2, 3, (0,))
+    assert enumerate_multipartitions(0, (0, 0)) == [((), ())]
+    assert len(enumerate_multipartitions(2, (0, 0, 0))) == 9
+    # the level is the charge's: a level-1 charge gives no level-2 output
+    assert {len(m) for m in enumerate_multipartitions(3, (0,))} == {1}
+    assert {len(m) for m in enumerate_multipartitions(3, (5, -1))} == {2}

@@ -334,8 +334,8 @@ def test_finite_e_generation_reads_no_node_lists(monkeypatch):
 
 def test_inf_generation_scans_each_vertex_once(monkeypatch):
     # at e=inf each vertex below the top rank is scanned once, modulo 1,
-    # and the per-content runs of that scan give the edges that one scan
-    # per addable content gives, in the same order
+    # and that scan's nodes, grouped by content, give the edges that one
+    # scan per addable content gives, in the same order
     charge = (0, 0)
     calls = []
     scan = fockdec.crystal.i_nodes

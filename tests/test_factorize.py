@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 from functools import lru_cache
 
@@ -12,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockdec.canonical import canonical_basis
-from fockdec.cli import _out_json
+from fockdec.cli import _render_json
 from fockdec.combinatorics import (
     InvariantViolated,
     Ordering,
@@ -535,11 +533,8 @@ def test_documents_of_matrices_sharing_labels_match_json_dumps(triple, depth):
         "basis_e": de, "basis_inf": dinf, "relative": drel,
         "report": [{"check": "product", "pass": True, "detail": "d"}], "all_pass": True,
     }
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _out_json(fields)
     obj = {k: matrix_to_json_obj(v) if isinstance(v, PolyMatrix) else v for k, v in fields.items()}
-    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+    assert _render_json(fields) == json.dumps(obj, indent=2) + "\n"
     # the same label map serves each matrix at any depth
     quoted = {}
     for m in triple:
