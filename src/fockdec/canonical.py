@@ -16,9 +16,9 @@ vectors until every off-diagonal coefficient lies in v*Z[v]; the result
 is the unique bar-invariant basis vector congruent to its vertex modulo v.
 
 canonical_basis enumerates the rank layer once, in descending gamma order,
-and gives each multipartition its position in it.  The Gaussian pass
-clears the offender with the least position (the gamma-greatest) first,
-and the layer and positions stay on the result for the matrix layer.
+with its keys.  The Gaussian pass clears the gamma-greatest offender
+first, and the layer and each multipartition's position in it stay on
+the result for the matrix layer.
 
 The monomial usually has unit coefficient at its vertex and support below
 it, but not always: from rank 9 on (first at e=2, charge (0,0), vertex
@@ -34,15 +34,14 @@ leaves an off-label coefficient outside v*Z[v]) raises InvariantViolated,
 so it holds under python -O as well.
 
 The construction never uses dominance of the charge, so it runs at any
-charge directly.  All peeling words of a rank are applied in one pass,
-apply_peelings.  It keeps the vector of every word suffix it meets, so a
-suffix that several words share is applied once.  It also keeps one
-transition table of the operator kernel, so the moves of f_i^(u) from a
-multipartition are computed once per call however many words reach it.
-Each elimination step is one FockVector.sub_scaled.  The driver is one
-module-level recursive function, _build, that takes all its state as
-arguments, so it holds no reference cycle and each basis is freed by
-reference counting when its command ends.
+charge directly.  Inside it each multipartition is its bead mask, the
+gamma key of the layer (combinatorics.bead_layout), decoded once at the
+end.  All peeling words of a rank are applied in one pass, _peel, which
+applies a suffix that several words share once and keeps one transition
+table of the mask kernel for the call.  The driver is one module-level
+recursive function, _build, that reduces a private dict per vertex in
+place and takes all its state as arguments, so it holds no reference
+cycle and each basis is freed by reference counting when its command ends.
 """
 
 from __future__ import annotations
@@ -53,12 +52,14 @@ from .combinatorics import (
     Charge,
     InvariantViolated,
     Multipartition,
-    empty,
+    bead_layout,
     enumerate_multipartitions,
     format_multipartition,
+    gamma_keys,
+    layer_keys,
 )
 from .crystal import generate_component
-from .fock import FockVector, apply_divided_power, basis_vector
+from .fock import FockVector, apply_divided_power, subtract_scaled
 from .laurent import ONE, ZERO, LaurentPoly, bar_symmetric_part
 
 __all__ = [
@@ -100,6 +101,23 @@ def apply_peelings(
 ) -> list[FockVector]:
     """apply_peeling for each word, in input order, sharing common suffixes.
 
+    The words run through _peel at their greatest rank, and each vector is
+    decoded through its own rank's layer.  fockdec.reference calls it.
+    """
+    ranks = [sum(u for _, u in seq) for seq in seqs]
+    n = max(ranks, default=0)
+    label: dict[int, Multipartition] = {}
+    for k in set(ranks):
+        keys = gamma_keys(enumerate_multipartitions(k, charge), charge, n)
+        label.update(zip(keys.values(), keys))
+    return [_decode(x, label, charge) for x in _peel(seqs, e, charge, n)]
+
+
+def _peel(
+    seqs: list[tuple[tuple[int, int], ...]], e: Optional[int], charge: Charge, n: int
+) -> list[dict[int, LaurentPoly]]:
+    """The vector of each word, keyed by bead masks of the rank-n layout.
+
     A word lists its steps last-applied first, so its vector is its first
     step applied to the vector of the rest: A(w) = f_i^(u) A(w[1:]).  The
     vector of every suffix met is kept, keyed by the suffix, with the
@@ -108,9 +126,11 @@ def apply_peelings(
     suffix costs one apply_divided_power call; the crystal's words share
     many, since each is a step followed by the word of a lower vertex.
     One transition table (see fockdec.fock) serves every step of the call
-    and is dropped with it.
+    and is dropped with it.  Words of rank at most n only.
     """
-    vectors = {(): basis_vector(empty(len(charge)), charge)}
+    vacuum, masks = bead_layout(charge, n, e)
+    lv = len(charge)
+    vectors: dict[tuple, dict[int, LaurentPoly]] = {(): {vacuum: ONE}}
     table: dict = {}
     for seq in seqs:
         k = 0
@@ -118,8 +138,12 @@ def apply_peelings(
             k += 1
         for j in reversed(range(k)):
             i, u = seq[j]
-            vectors[seq[j:]] = apply_divided_power(vectors[seq[j + 1 :]], e, i, u, table)
+            vectors[seq[j:]] = apply_divided_power(vectors[seq[j + 1 :]], i, u, lv, masks, table)
     return [vectors[seq] for seq in seqs]
+
+
+def _decode(x: dict[int, LaurentPoly], label: dict[int, Multipartition], charge: Charge) -> FockVector:
+    return FockVector._of(charge, {label[m]: c for m, c in x.items()})
 
 
 class CanonicalBasisSet(NamedTuple):
@@ -147,62 +171,62 @@ class CanonicalBasisSet(NamedTuple):
 
 
 def _build(
-    lam: Multipartition,
-    avectors: dict[Multipartition, FockVector],
-    position: dict[Multipartition, int],
-    vectors: dict[Multipartition, FockVector],
-    corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]],
-    building: list[Multipartition],
-) -> FockVector:
-    """The basis vector at lam, built and stored in vectors if not there yet.
+    lam: int,
+    monomials: dict[int, dict[int, LaurentPoly]],
+    label: dict[int, Multipartition],
+    vectors: dict[int, dict[int, LaurentPoly]],
+    corrections: dict[int, dict[int, LaurentPoly]],
+    building: list[int],
+) -> dict[int, LaurentPoly]:
+    """The basis vector at the key lam, built and stored in vectors if not
+    there yet; keys are bead masks, and label names them in messages.
 
-    Reduces lam's monomial avectors[lam] by subtracting basis vectors until
-    every off-label coefficient sits in v*Z[v], clearing offenders
-    greatest-gamma first, i.e. least ``position`` in the rank layer, and
-    records the coefficients used in corrections[lam].  An offender
-    gamma-greater than lam is legitimate: the peeling monomials are not
-    always triangular, and subtracting the offender's basis vector, built
-    first by recursion, also removes the excess it contributed on lam.
-    ``building`` holds the labels whose reduction is under way; an
-    offender among them is a dependency cycle (OrderViolation), and an
-    offender without a monomial is no vertex (MissingPredecessor).
+    Reduces a copy of monomials[lam] in place until every off-label
+    coefficient sits in v*Z[v], clearing offenders greatest key (gamma)
+    first, and records the coefficients used in corrections[lam].  An
+    offender gamma-greater than lam is legitimate: the peeling monomials
+    are not always triangular, and subtracting the offender's basis
+    vector, built first by recursion, also removes the excess it
+    contributed on lam.  ``building`` holds the keys whose reduction is
+    under way; an offender among them is a dependency cycle
+    (OrderViolation), and one without a monomial is no vertex
+    (MissingPredecessor).
     """
     if lam in vectors:
         return vectors[lam]
-    if lam not in avectors:
-        raise MissingPredecessor(f"no crystal vertex at {format_multipartition(lam)}")
+    if lam not in monomials:
+        raise MissingPredecessor(f"no crystal vertex at {format_multipartition(label[lam])}")
     if lam in building:
-        chain = " <- ".join(format_multipartition(m) for m in building + [lam])
+        chain = " <- ".join(format_multipartition(label[k]) for k in building + [lam])
         raise OrderViolation(f"basis vectors depend on each other: {chain}")
     building.append(lam)
-    x = avectors[lam]
-    corr: dict[Multipartition, LaurentPoly] = {}
+    x = dict(monomials[lam])
+    corr: dict[int, LaurentPoly] = {}
     guard = 0
-    limit = 4 * len(x.entries) + 64
+    limit = 4 * len(x) + 64
     while True:
-        offenders = [
-            mp for mp, c in x.entries.items() if mp != lam and not c.in_v_ztimes()
-        ]
-        if not offenders:
+        offender = max(
+            (k for k, c in x.items() if k != lam and not c.in_v_ztimes()), default=None
+        )
+        if offender is None:
             break
-        offender = min(offenders, key=position.__getitem__)
-        m = bar_symmetric_part(x.coeff(offender))
+        m = bar_symmetric_part(x[offender])
         if m.is_zero() or not m.is_bar_symmetric():
             raise InvariantViolated(
                 f"bar-symmetric part {m} of the coefficient "
-                f"{x.coeff(offender)} of {format_multipartition(offender)}"
+                f"{x[offender]} of {format_multipartition(label[offender])}"
             )
-        g = _build(offender, avectors, position, vectors, corrections, building)
+        g = _build(offender, monomials, label, vectors, corrections, building)
         corr[offender] = corr.get(offender, ZERO) + m
-        x = x.sub_scaled(g, m)
+        subtract_scaled(x, g, m)
         guard += 1
         if guard > limit:
             raise InvariantViolated(
-                f"elimination for {format_multipartition(lam)} failed to "
+                f"elimination for {format_multipartition(label[lam])} failed to "
                 f"terminate within {limit} steps"
             )
     building.pop()
-    _check_reduced(x, lam)
+    _check_reduced(x, lam, label)
     corrections[lam] = corr
     vectors[lam] = x
     return x
@@ -217,42 +241,43 @@ def canonical_basis(e: Optional[int], charge: Charge, n: int) -> CanonicalBasisS
     vertex's basis vector first, recursively.
     """
     graph = generate_component(e, charge, n)
-    layer = tuple(enumerate_multipartitions(n, charge))
-    position = {mp: k for k, mp in enumerate(layer)}
+    keys = layer_keys(n, charge)
+    layer = tuple(keys)
+    label = dict(zip(keys.values(), layer))
     verts_desc = list(graph.vertices(n))
     words = graph.peeling_words
     peelings = {lam: words[lam] for lam in verts_desc}
-    avectors = dict(zip(peelings, apply_peelings(list(peelings.values()), e, charge)))
-    vectors: dict[Multipartition, FockVector] = {}
-    corrections: dict[Multipartition, dict[Multipartition, LaurentPoly]] = {}
-    building: list[Multipartition] = []
+    monomials = dict(zip(map(keys.get, verts_desc), _peel(list(peelings.values()), e, charge, n)))
+    vectors: dict[int, dict[int, LaurentPoly]] = {}
+    corrections: dict[int, dict[int, LaurentPoly]] = {}
+    building: list[int] = []
     for lam in reversed(verts_desc):
-        _build(lam, avectors, position, vectors, corrections, building)
+        _build(keys[lam], monomials, label, vectors, corrections, building)
     return CanonicalBasisSet(
         e=e,
         charge=charge,
         rank=n,
         labels=tuple(verts_desc),
-        vectors=vectors,
-        avectors=avectors,
+        vectors={lam: _decode(vectors[keys[lam]], label, charge) for lam in verts_desc},
+        avectors={lam: _decode(monomials[keys[lam]], label, charge) for lam in verts_desc},
         peelings=peelings,
-        corrections=corrections,
+        corrections={
+            lam: {label[k]: m for k, m in corrections[keys[lam]].items()} for lam in verts_desc
+        },
         layer=layer,
-        position=position,
+        position={mp: k for k, mp in enumerate(layer)},
     )
 
 
-def _check_reduced(g: FockVector, label: Multipartition) -> None:
-    if g.coeff(label) != ONE:
+def _check_reduced(g: dict[int, LaurentPoly], lam: int, label: dict[int, Multipartition]) -> None:
+    if g.get(lam, ZERO) != ONE:
         raise PeelingUnitriangularityViolated(
-            f"coefficient of {format_multipartition(label)} is {g.coeff(label)} "
+            f"coefficient of {format_multipartition(label[lam])} is {g.get(lam, ZERO)} "
             "after reduction"
         )
-    for mp, c in g.entries.items():
-        if mp != label and not c.in_v_ztimes():
+    for k, c in g.items():
+        if k != lam and not c.in_v_ztimes():
             raise InvariantViolated(
-                f"coefficient of {format_multipartition(mp)} is {c} after reducing "
-                f"{format_multipartition(label)}, not in v*Z[v]"
+                f"coefficient of {format_multipartition(label[k])} is {c} after reducing "
+                f"{format_multipartition(label[lam])}, not in v*Z[v]"
             )
-
-

@@ -18,9 +18,10 @@ shared checks run once, in this order: ``factorize`` needs a finite
 is reported before a tripped guard.
 
 Each handler returns ``(document, exit code)`` and writes nothing; a
-refusal is raised with its message and code.  ``main`` alone writes
-stdout and stderr (argparse writes its help and usage errors from inside
-``main``): the document in one write and one flush, or one line on stderr.
+refusal is raised with its message and code, and ``--help`` hands over
+its text as the document.  ``main`` alone writes stdout and stderr
+(argparse writes its usage errors from inside ``main``): the document in
+one write and one flush, or one line on stderr.
 
 Exit codes: 0 success (factorize: all checks pass), 1 a verification
 check failed or an internal consistency check raised (one line on stderr,
@@ -353,14 +354,21 @@ def _add_run_flags(sub: argparse.ArgumentParser, command: str) -> None:
                      help=f"refuse ranks above this bound (default {GUARD_DEFAULT})")
 
 
+class _Help(Exception):
+    """--help was given; ``args`` is (help text,)."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are one 'fockdec: ...' line,
-    like every other failure; its subparsers are of this class too.  A
-    line break in the message (an unrecognized argument may hold one)
-    becomes a space."""
+    like every other failure, and whose help is handed to ``main`` as the
+    document; its subparsers are of this class too.  A line break in the
+    message (an unrecognized argument may hold one) becomes a space."""
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"fockdec: {' '.join(message.splitlines())}\n")
+
+    def print_help(self, file=None) -> NoReturn:
+        raise _Help(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +452,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        doc, code = _dispatch(_parser().parse_args(_join_dash_values(argv)))
+        try:
+            doc, code = _dispatch(_parser().parse_args(_join_dash_values(argv)))
+        except _Help as exc:
+            doc, code = exc.args[0], 0
         out = sys.stdout
         if out is None:
             raise OSError("stdout is closed")
@@ -452,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out.flush()
         return code
     except SystemExit as exc:
-        # argparse has written its help or its one-line usage error
+        # argparse has written its one-line usage error
         return exc.code if isinstance(exc.code, int) else 2
     except _Refusal as exc:
         return _fail(*exc.args)

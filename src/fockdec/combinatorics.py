@@ -55,8 +55,10 @@ __all__ = [
     "compare_prefix_sums",
     "compare_dominance",
     "gamma_keys",
+    "bead_layout",
     "gamma_lex_sorted",
     "enumerate_multipartitions",
+    "layer_keys",
 ]
 
 
@@ -257,23 +259,9 @@ def compare_dominance(a: Multipartition, b: Multipartition, charge: Charge) -> O
     return order
 
 
-def gamma_keys(mps: list[Multipartition], charge: Charge) -> dict[Multipartition, int]:
-    """One int per multipartition, ordered as the gamma sequences are.
-
-    Keys from one call compare like the gamma_sequence tuples of their
-    multipartitions, each cut at its own rank; keys from different calls
-    do not compare.  A key is at most 2 * l * l * top bits wide, for top
-    the greatest rank, whatever the charge.  gamma_lex_sorted states why.
-    """
+def _bead_bases(charge: Charge, top: int) -> list[int]:
+    """base[ci], the bit of v = 0 in component ci (gamma_lex_sorted)."""
     lv = len(charge)
-    ranks = []
-    for m in mps:
-        if len(m) != lv:
-            raise ValueError(f"level {len(m)} multipartition with level {lv} charge")
-        ranks.append(sum(map(sum, m)))
-    top = max(ranks, default=0)
-    # base[ci] is the bit of v = 0 in component ci; components in order of
-    # charge, each window joining the block of the last one if they overlap
     base = [0] * lv
     hi = None
     for s, ci in sorted(zip(charge, range(lv))):
@@ -281,9 +269,32 @@ def gamma_keys(mps: list[Multipartition], charge: Charge) -> dict[Multipartition
             off = (0 if hi is None else hi + off + 1) - (s - top)
         hi = s + top - 1
         base[ci] = (s + off) * lv + ci
+    return base
+
+
+def gamma_keys(
+    mps: list[Multipartition], charge: Charge, rows: Optional[int] = None
+) -> dict[Multipartition, int]:
+    """One int per multipartition, ordered as the gamma sequences are.
+
+    Keys from one call compare like the gamma_sequence tuples of their
+    multipartitions, each cut at its own rank; keys from different calls
+    do not compare.  A key is at most 2 * l * l * top bits wide, for top
+    the greatest rank, whatever the charge.  gamma_lex_sorted states why.
+    Given rows, every key is taken in the rank-rows layout, with rows
+    1..rows of each component: the Fock kernel's masks (bead_layout).
+    """
+    lv = len(charge)
+    ranks = []
+    for m in mps:
+        if len(m) != lv:
+            raise ValueError(f"level {len(m)} multipartition with level {lv} charge")
+        ranks.append(sum(map(sum, m)))
+    base = _bead_bases(charge, max(ranks, default=0) if rows is None else rows)
     stride = (1 << lv) - 1
     keys = {}
     for m, n in zip(mps, ranks):
+        n = n if rows is None else rows
         key = 0
         for b, part in zip(base, m):
             # row j (from 1) with part p is the bit b + (p - j) * lv
@@ -298,6 +309,28 @@ def gamma_keys(mps: list[Multipartition], charge: Charge) -> dict[Multipartition
                 key |= ((1 << (bit - low + lv)) - 1) // stride << low
         keys[m] = key
     return keys
+
+
+def bead_layout(charge: Charge, n: int, e: Optional[int]) -> tuple[int, dict[int, int]]:
+    """The vacuum's mask and the residue masks of the rank-n bead layout.
+
+    Masks are gamma_keys(..., rows=n).  A node of content c is the bit of
+    v = c in its component: a removable node its box's bead, an addable
+    node the empty bit its bead moves to.  The mask of residue i holds
+    those bits for each content of residue i in each window, but the
+    floor bead (v = charge - n): below rank n the bead of row n + 1 sits
+    right under it, so it is never removable.
+    """
+    if e is not None and e < 2:
+        raise ValueError(f"modulus e={e} must be at least 2 (or None for no modulus)")
+    lv = len(charge)
+    masks: dict[int, int] = {}
+    for s, b in zip(charge, _bead_bases(charge, n)):
+        for d in range(1 - n, n):
+            i = s + d if e is None else (s + d) % e
+            masks[i] = masks.get(i, 0) | 1 << (b + d * lv)
+    vacuum = empty(lv)
+    return gamma_keys([vacuum], charge, n)[vacuum], masks
 
 
 def gamma_lex_sorted(mps: Iterable[Multipartition], charge: Charge) -> list[Multipartition]:
@@ -348,11 +381,17 @@ def enumerate_multipartitions(n: int, charge: Charge) -> list[Multipartition]:
     >>> [format_multipartition(m) for m in enumerate_multipartitions(3, (0,))]
     ['3', '2.1', '1.1.1']
     """
-    out: list[Multipartition] = []
-    for sizes in _compositions(n, len(charge)):
-        for combo in product(*(partitions(k) for k in sizes)):
-            out.append(tuple(combo))
-    return gamma_lex_sorted(out, charge)
+    return list(layer_keys(n, charge))
+
+
+def layer_keys(n: int, charge: Charge) -> dict[Multipartition, int]:
+    """enumerate_multipartitions with the gamma_keys it sorts by kept."""
+    if not charge:
+        raise ValueError("empty charge: the level must be at least 1")
+    sizes = _compositions(n, len(charge))
+    out = [combo for s in sizes for combo in product(*map(partitions, s))]
+    keys = gamma_keys(out, charge)
+    return {m: keys[m] for m in sorted(out, key=keys.__getitem__, reverse=True)}
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

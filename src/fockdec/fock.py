@@ -4,53 +4,36 @@ Vectors are finite Z[v, 1/v]-combinations of multipartitions of a fixed
 level and charge.  The raising operator f_i inserts one box of residue i and
 weights each insertion by v to the count of addable i-nodes above the new
 box minus removable i-nodes above it in the result.  The modulus is e >= 2
-or None; apply_divided_power raises ValueError for e < 2.
+or None (no modulus: every content is its own residue).
 
-apply_divided_power is the one raising operator: it applies the divided
-power f_i^(u), with f_i itself at u = 1, from one scan of each source
-multipartition.  A box of residue i changes addable and removable nodes
-only at residues i - 1 and i + 1, so the exponents of every insertion are
-read off the source itself.  f_i^(u) is computed in closed form, one term
-per u-subset of the addable i-nodes, never as u applications of f_i
-followed by a division by [u]!.  The (target, exponent) moves of f_i^(u)
-from one multipartition go into a transition table keyed by
-(multipartition, i, u), which the caller owns, so a caller that applies
-many divided powers at one charge and e (canonical.apply_peelings)
-computes them once per key.  The contributions to each target are
-collected and summed once, and FockVector.sub_scaled forms the
-elimination step x - m*g in one pass; x + y is x.sub_scaled(y, -1).
+apply_divided_power, the commands' one raising operator, applies the
+divided power f_i^(u) in closed form, one term per u-subset of the
+addable i-nodes, to a vector keyed by the bead masks of one rank-n layout
+(combinatorics.bead_layout), for sources of rank below n.  Its moves from
+a mask go into a transition table that the caller owns, so a caller that
+applies many divided powers at one charge and e (canonical_basis)
+computes them once per (mask, i, u).  subtract_scaled forms the
+elimination step x - m*g in place, and FockVector.sub_scaled on a copy;
+x + y is x.sub_scaled(y, -1).
 
-With e=None the same formulas run on raw contents instead of residues:
-that is the large-rank limit in which every content class is its own
-residue.  apply_f and apply_f_divided (the kernel with a fresh table),
-the lowering operator e_i, the diagonal operator t_i, the node counts of
-one insertion, and the check that each finite-e operator expands through
-the content operators are cross-checks in fockdec.reference.
-
->>> x = basis_vector(((), ()), (0, 0))
->>> print(apply_divided_power(x, 2, 0, 1, {}))
-(-|1, 1) + (1|-, v)
+fockdec.reference holds the same operator on multipartition tuples
+(apply_f, apply_f_divided), which the tests check the mask kernel against,
+and the lowering operator e_i, the diagonal operator t_i, the node counts
+of one insertion, and the check that each finite-e operator expands
+through the content operators.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
 
-from .combinatorics import (
-    Charge,
-    Multipartition,
-    add_boxes,
-    format_multipartition,
-    gamma_lex_sorted,
-    i_nodes,
-)
+from .combinatorics import Charge, Multipartition, format_multipartition, gamma_lex_sorted
 from .laurent import MINUS_ONE, ONE, ZERO, LaurentPoly
 
 __all__ = [
     "FockVector",
-    "basis_vector",
     "apply_divided_power",
+    "subtract_scaled",
 ]
 
 
@@ -88,35 +71,11 @@ class FockVector:
         return self.sub_scaled(other, ONE)
 
     def sub_scaled(self, other: "FockVector", m: LaurentPoly) -> "FockVector":
-        """self - other.scale(m) in one pass over other's entries.
-
-        The elimination step of canonical_basis and extract_relative.  No
-        product is formed when m is ONE; otherwise each entry c of other
-        becomes c * (-m), added to the entry of self in one buffer.
-        """
+        """self - other.scale(m) in one pass over other's entries: the
+        elimination step of extract_relative."""
         self._check(other)
         out = dict(self.entries)
-        if m == ONE:
-            for mp, c in other.entries.items():
-                got = out.get(mp)
-                if got is None:
-                    out[mp] = -c
-                elif got == c:
-                    del out[mp]
-                else:
-                    out[mp] = got - c
-        elif m:
-            neg = -m
-            for mp, c in other.entries.items():
-                got = out.get(mp)
-                if got is None:
-                    out[mp] = c * neg
-                else:
-                    total = got.add_product(c, neg)
-                    if total:
-                        out[mp] = total
-                    else:
-                        del out[mp]
+        subtract_scaled(out, other.entries, m)
         return FockVector._of(self.charge, out)
 
     def scale(self, p: LaurentPoly) -> "FockVector":
@@ -148,30 +107,37 @@ class FockVector:
             raise ValueError(f"charge mismatch: {self.charge} vs {other.charge}")
 
 
-def basis_vector(mp: Multipartition, charge: Charge) -> FockVector:
-    if len(mp) != len(charge):
-        raise ValueError(f"level {len(mp)} multipartition with charge {charge}")
-    return FockVector(charge, {mp: ONE})
-
-
-def _single_exponents(
-    adds: list[tuple[tuple[int, int], int, int]], rems: list[tuple[int, int]]
-) -> list[int]:
-    """Per addable i-node: addable i-nodes above it minus removable i-nodes above it."""
-    out = [0] * len(adds)
-    j = len(rems)
-    for pos in range(len(adds) - 1, -1, -1):
-        key = adds[pos][0]
-        while j and rems[j - 1] > key:
-            j -= 1
-        out[pos] = (len(adds) - pos - 1) - (len(rems) - j)
-    return out
+def subtract_scaled(out: dict, other: dict, m: LaurentPoly) -> None:
+    """out - m * other, formed in place in out; a cancelled entry is deleted.
+    No product is formed when m is ONE; otherwise each entry c of other
+    becomes c * (-m), added to the entry of out in one buffer."""
+    if m == ONE:
+        for mp, c in other.items():
+            got = out.get(mp)
+            if got is None:
+                out[mp] = -c
+            elif got == c:
+                del out[mp]
+            else:
+                out[mp] = got - c
+    elif m:
+        neg = -m
+        for mp, c in other.items():
+            got = out.get(mp)
+            if got is None:
+                out[mp] = c * neg
+            else:
+                total = got.add_product(c, neg)
+                if total:
+                    out[mp] = total
+                else:
+                    del out[mp]
 
 
 def apply_divided_power(
-    x: FockVector, e: Optional[int], i: int, u: int, table: dict
-) -> FockVector:
-    """The divided power f_i^u / [u]!, in closed form.
+    x: dict[int, LaurentPoly], i: int, u: int, lv: int, masks: dict[int, int], table: dict
+) -> dict[int, LaurentPoly]:
+    """The divided power f_i^u / [u]! on a vector keyed by bead masks.
 
     lam goes to lam + S for every u-subset S of lam's addable i-nodes, with
     exponent the sum over gamma in S of the addable i-nodes of lam above
@@ -180,31 +146,21 @@ def apply_divided_power(
     at contents c - 1 and c + 1, whose residues differ from i when e >= 2
     or e is None.  So every other addable or removable i-node stays as it
     was, every subset can be inserted, and the exponent is the sum of the
-    single-box exponents minus u(u-1)/2, one for each pair in S.  That
-    argument fails for e = 1.
+    single-box exponents minus u(u-1)/2, one for each pair in S.
 
-    ``table`` maps (multipartition, i, u) to the list of (target,
-    exponent) moves of f_i^(u) from that multipartition; a missing key is
-    computed here and stored.  One table serves one charge and one e, so
-    it lives no longer than the call that owns it.  Each target's
-    contributions are collected first and summed once.
-    Raises ValueError for u < 0 or e < 2.
+    lv is the level and masks the residue masks of bead_layout.  ``table``
+    maps (mask, i, u) to the moves of f_i^(u) from that mask, filled here;
+    one table serves one layout and lives no longer than its caller.
     """
-    if u < 0:
-        raise ValueError(f"negative divided power {u}")
-    if e is not None and e < 2:
-        raise ValueError(f"modulus e={e} must be at least 2 (or None for no modulus)")
-    if u == 0:
-        return x
-    charge = x.charge
-    out: dict[Multipartition, LaurentPoly] = {}
+    p = masks.get(i, 0)
+    out: dict[int, LaurentPoly] = {}
     # targets reached more than once: every (coefficient, shift) term
-    shared: dict[Multipartition, list[tuple[LaurentPoly, int]]] = {}
-    for mp, c in x.entries.items():
-        key = (mp, i, u)
+    shared: dict[int, list[tuple[LaurentPoly, int]]] = {}
+    for m, c in x.items():
+        key = (m, i, u)
         moves = table.get(key)
         if moves is None:
-            moves = table[key] = _moves(mp, charge, e, i, u)
+            moves = table[key] = _bead_moves(m, lv, p, u)
         for mu, k in moves:
             if mu not in out:
                 out[mu] = LaurentPoly(c.val + k, c.coeffs)
@@ -218,22 +174,31 @@ def apply_divided_power(
             out[mu] = total
         else:
             del out[mu]
-    return FockVector._of(charge, out)
+    return out
 
 
-def _moves(
-    mp: Multipartition, charge: Charge, e: Optional[int], i: int, u: int
-) -> list[tuple[Multipartition, int]]:
-    """The (target, exponent) terms of f_i^(u) applied to mp alone."""
-    adds, rems = i_nodes(mp, charge, e, i)
-    if len(adds) < u:
+def _bead_moves(m: int, lv: int, p: int, u: int) -> list[tuple[int, int]]:
+    """The (target, exponent) terms of f_i^(u) on the mask m alone, p the
+    residue mask of i.  An addable node is an empty bit with a bead lv
+    bits below, a removable node a bead with none there; inserting a node
+    moves that bead up, one XOR of both bits.
+    """
+    up = m << lv
+    rems = m & ~up & p
+    adds = up & ~m & p
+    nodes = []
+    while adds:
+        low = adds & -adds
+        nodes.append(low)
+        adds ^= low
+    k = len(nodes)
+    if k < u:
         return []
-    single = _single_exponents(adds, rems)
+    # per node: addable i-nodes above it minus removable i-nodes above it
+    single = [k - j - 1 - (rems & -(low << 1)).bit_count() for j, low in enumerate(nodes)]
+    flips = [low | low >> lv for low in nodes]
     pairs = u * (u - 1) // 2
     return [
-        (
-            add_boxes(mp, [adds[p][1:] for p in subset]),
-            sum(single[p] for p in subset) - pairs,
-        )
-        for subset in combinations(range(len(adds)), u)
+        (m ^ sum(f), sum(s) - pairs)
+        for f, s in zip(combinations(flips, u), combinations(single, u))
     ]

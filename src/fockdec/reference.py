@@ -28,14 +28,16 @@ runtime another way:
 - count_N gives the node counts of one box insertion, apply_e and apply_t
   are the lowering and diagonal operators, and check_compatibility
   verifies on concrete vectors that the finite-e operators expand through
-  the content operators (e=None); apply_f and apply_f_divided are the
-  raising operators, the runtime kernel fock.apply_divided_power with a
-  fresh table, and qint and qfactorial the quantum integers the operator
-  identities are stated with.
+  the content operators (e=None); qint and qfactorial are the quantum
+  integers the operator identities are stated with;
+- apply_f and apply_f_divided are the raising operators on multipartition
+  tuples, from one combinatorics.i_nodes scan per source, where the
+  runtime kernel fock.apply_divided_power scans and inserts nodes on bead
+  masks; the tests check each against the other, and these against f_i
+  with its exponents counted on each new multipartition.
 
 brute_force_basis shares one ingredient with canonical_basis on purpose:
-the operator kernel canonical.apply_peelings, which the tests check
-against f_i with its exponents counted on each new multipartition.
+the mask kernel, through canonical.apply_peelings.
 
 >>> good_node(((), ()), 2, 0, (0, 0))
 Node(row=1, col=1, comp=2)
@@ -45,6 +47,7 @@ Node(row=1, col=1, comp=2)
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .canonical import PeelingUnitriangularityViolated, apply_peeling, apply_peelings
@@ -52,13 +55,15 @@ from .combinatorics import (
     Charge,
     InvariantViolated,
     Multipartition,
+    add_boxes,
     empty,
     format_multipartition,
     gamma_sequence,
+    i_nodes,
 )
 from .crystal import generate_component
 from .factorize import PolyMatrix
-from .fock import FockVector, apply_divided_power
+from .fock import FockVector
 from .laurent import ONE, ZERO, LaurentPoly, bar_symmetric_part
 
 __all__ = [
@@ -92,6 +97,7 @@ __all__ = [
     "matrix_entry",
     "matrix_to_json_obj",
     "back_substitution_oracle",
+    "basis_vector",
     "apply_f",
     "apply_f_divided",
     "NodeCounts",
@@ -566,15 +572,71 @@ def back_substitution_oracle(de: PolyMatrix, dinf: PolyMatrix) -> PolyMatrix:
 # -- node counts and the raising, lowering and diagonal operators --------
 
 
-def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
-    """The raising operator f_i: the runtime kernel at u = 1, with a fresh table."""
-    return apply_divided_power(x, e, i, 1, {})
+def basis_vector(mp: Multipartition, charge: Charge) -> FockVector:
+    """The vector of one multipartition, with coefficient 1."""
+    if len(mp) != len(charge):
+        raise ValueError(f"level {len(mp)} multipartition with charge {charge}")
+    return FockVector(charge, {mp: ONE})
+
+
+def _single_exponents(
+    adds: list[tuple[tuple[int, int], int, int]], rems: list[tuple[int, int]]
+) -> list[int]:
+    """Per addable i-node: addable i-nodes above it minus removable i-nodes above it."""
+    out = [0] * len(adds)
+    j = len(rems)
+    for pos in range(len(adds) - 1, -1, -1):
+        key = adds[pos][0]
+        while j and rems[j - 1] > key:
+            j -= 1
+        out[pos] = (len(adds) - pos - 1) - (len(rems) - j)
+    return out
+
+
+def _moves(
+    mp: Multipartition, charge: Charge, e: Optional[int], i: int, u: int
+) -> list[tuple[Multipartition, int]]:
+    """The (target, exponent) terms of f_i^(u) applied to mp alone."""
+    adds, rems = i_nodes(mp, charge, e, i)
+    if len(adds) < u:
+        return []
+    single = _single_exponents(adds, rems)
+    pairs = u * (u - 1) // 2
+    return [
+        (
+            add_boxes(mp, [adds[p][1:] for p in subset]),
+            sum(single[p] for p in subset) - pairs,
+        )
+        for subset in combinations(range(len(adds)), u)
+    ]
 
 
 def apply_f_divided(x: FockVector, e: Optional[int], i: int, u: int) -> FockVector:
-    """The divided power f_i^(u): the runtime kernel with a fresh table."""
-    return apply_divided_power(x, e, i, u, {})
+    """The divided power f_i^(u) on multipartition tuples, in closed form.
 
+    The same formula as the runtime kernel fock.apply_divided_power, which
+    runs on bead masks: one term per u-subset of the addable i-nodes that
+    combinatorics.i_nodes lists, inserted with add_boxes.  Raises
+    ValueError for u < 0 or e < 2.
+    """
+    if u < 0:
+        raise ValueError(f"negative divided power {u}")
+    if e is not None and e < 2:
+        raise ValueError(f"modulus e={e} must be at least 2 (or None for no modulus)")
+    out: dict[Multipartition, LaurentPoly] = {}
+    for mp, c in x.entries.items():
+        for mu, k in _moves(mp, x.charge, e, i, u):
+            out[mu] = out[mu] + c.shift(k) if mu in out else c.shift(k)
+    return FockVector(x.charge, out)
+
+
+def apply_f(x: FockVector, e: Optional[int], i: int) -> FockVector:
+    """The raising operator f_i: apply_f_divided at u = 1.
+
+    >>> print(apply_f(basis_vector(((), ()), (0, 0)), 2, 0))
+    (-|1, 1) + (1|-, v)
+    """
+    return apply_f_divided(x, e, i, 1)
 
 
 class NodeCounts:

@@ -52,15 +52,15 @@ MUTANTS = [
     Mutant(
         "single-exponents-off-by-one",
         "fock.py",
-        "out[pos] = (len(adds) - pos - 1) - (len(rems) - j)",
-        "out[pos] = (len(adds) - pos) - (len(rems) - j)",
-        ("test_fock.py",),
+        "single = [k - j - 1 - (rems & -(low << 1)).bit_count() for j, low in enumerate(nodes)]",
+        "single = [k - j - (rems & -(low << 1)).bit_count() for j, low in enumerate(nodes)]",
+        ("test_fock.py::test_mask_scan_lists_the_nodes_and_exponents_of_i_nodes",),
         "f_i's exponents count the addable minus removable i-nodes above the new box",
     ),
     Mutant(
         "reduce-skips-correction",
         "canonical.py",
-        "        if not offenders:\n            break\n",
+        "        if offender is None:\n            break\n",
         "        if True:\n            break\n",
         ("test_canonical.py",),
         "the elimination pass leaves every off-diagonal coefficient in v*Z[v]",
@@ -68,8 +68,8 @@ MUTANTS = [
     Mutant(
         "transition-table-without-u",
         "fock.py",
-        "key = (mp, i, u)",
-        "key = (mp, i)",
+        "key = (m, i, u)",
+        "key = (m, i)",
         ("test_canonical.py",),
         "the transition table keeps the moves of each divided power f_i^(u) apart",
     ),
@@ -185,16 +185,16 @@ MUTANTS = [
     Mutant(
         "canonical-basis-one-word-at-a-time",
         "canonical.py",
-        "apply_peelings(list(peelings.values()), e, charge)",
-        "[apply_peeling(w, e, charge) for w in peelings.values()]",
-        ("test_reference.py",),
-        "a declared runtime function that a command now calls is reported",
+        "_peel(list(peelings.values()), e, charge, n)",
+        "[_peel([w], e, charge, n)[0] for w in peelings.values()]",
+        ("test_canonical.py::test_each_distinct_suffix_is_applied_once",),
+        "canonical_basis applies all peeling words of a rank in one pass over shared suffixes",
     ),
     Mutant(
         "peeling-memo-extends-the-wrong-suffix",
         "canonical.py",
-        "apply_divided_power(vectors[seq[j + 1 :]], e, i, u, table)",
-        "apply_divided_power(vectors[seq[k:]], e, i, u, table)",
+        "apply_divided_power(vectors[seq[j + 1 :]], i, u, lv, masks, table)",
+        "apply_divided_power(vectors[seq[k:]], i, u, lv, masks, table)",
         ("test_canonical.py",),
         "each step of a peeling word applies to the vector of the suffix after it",
     ),
@@ -218,9 +218,9 @@ MUTANTS = [
         "canonical-basis-closure-cycle",
         "canonical.py",
         "    for lam in reversed(verts_desc):\n"
-        "        _build(lam, avectors, position, vectors, corrections, building)\n",
+        "        _build(keys[lam], monomials, label, vectors, corrections, building)\n",
         "    def build(lam):\n"
-        "        return build, _build(lam, avectors, position, vectors, corrections, building)\n"
+        "        return build, _build(keys[lam], monomials, label, vectors, corrections, building)\n"
         "\n"
         "    for lam in reversed(verts_desc):\n"
         "        build(lam)\n",
@@ -238,7 +238,7 @@ MUTANTS = [
     Mutant(
         "build-without-predecessor-check",
         "canonical.py",
-        "    if lam not in avectors:\n",
+        "    if lam not in monomials:\n",
         "    if False:\n",
         ("test_canonical.py::test_an_offender_that_is_no_label_raises_missing_predecessor",),
         "an offender that is no crystal vertex raises MissingPredecessor",
@@ -258,6 +258,30 @@ MUTANTS = [
         "",
         ("test_cli.py::test_a_failed_write_exits_four_with_one_line",),
         "after a failed write the flush at interpreter exit adds nothing to stderr",
+    ),
+    Mutant(
+        "kernel-removable-at-window-floor",
+        "combinatorics.py",
+        "for d in range(1 - n, n):",
+        "for d in range(-n, n):",
+        ("test_fock.py::test_mask_scan_lists_the_nodes_and_exponents_of_i_nodes",),
+        "the floor bead of a window, under an empty row, is never a removable node",
+    ),
+    Mutant(
+        "residue-mask-from-one-component",
+        "combinatorics.py",
+        "for s, b in zip(charge, _bead_bases(charge, n)):",
+        "for s, b in zip(charge[:1], _bead_bases(charge, n)):",
+        ("test_fock.py::test_mask_scan_lists_the_nodes_and_exponents_of_i_nodes",),
+        "each residue mask holds the nodes of that residue in every component",
+    ),
+    Mutant(
+        "offender-least-key",
+        "canonical.py",
+        "        offender = max(\n",
+        "        offender = min(\n",
+        ("test_canonical.py::test_offenders_are_cleared_greatest_key_first",),
+        "the elimination clears the gamma-greatest offender, the greatest key, first",
     ),
 ]
 

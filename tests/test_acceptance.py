@@ -29,7 +29,6 @@ from fockdec.factorize import (
     matrix_to_csv,
     verify,
 )
-from fockdec.fock import basis_vector
 from fockdec.laurent import ONE, ZERO
 from fockdec.reference import (
     addable_nodes,
@@ -37,6 +36,7 @@ from fockdec.reference import (
     apply_f,
     apply_f_divided,
     back_substitution_oracle,
+    basis_vector,
     brute_force_basis,
     check_compatibility,
     dense_entries,

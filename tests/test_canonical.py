@@ -27,11 +27,11 @@ from fockdec.combinatorics import (
     parse_multipartition,
 )
 from fockdec.crystal import generate_component
-from fockdec.fock import FockVector, basis_vector
 from fockdec.laurent import ONE, LaurentPoly, bar_symmetric_part
 from fockdec.reference import (
     NotInCrystal,
     apply_f_divided,
+    basis_vector,
     brute_force_basis,
     build_A,
     peeling_sequence,
@@ -215,9 +215,9 @@ def test_each_distinct_suffix_is_applied_once(monkeypatch):
     kernel = fockdec.canonical.apply_divided_power
     steps = []
 
-    def counted(x, e, i, u, table):
+    def counted(x, i, u, *layout):
         steps.append((i, u))
-        return kernel(x, e, i, u, table)
+        return kernel(x, i, u, *layout)
 
     monkeypatch.setattr(fockdec.canonical, "apply_divided_power", counted)
     for words in (crystal_words, NESTED_WORDS):
@@ -225,6 +225,10 @@ def test_each_distinct_suffix_is_applied_once(monkeypatch):
         apply_peelings(words, 2, (0, 0))
         assert len(steps) == len({w[k:] for w in words for k in range(len(w))})
     assert len(steps) == 5
+    # canonical_basis applies the same words in one pass too
+    steps.clear()
+    canonical_basis(2, (0, 0), 9)
+    assert len(steps) == len({w[k:] for w in crystal_words for k in range(len(w))})
 
 
 def test_build_A_unit_coefficient():
@@ -382,26 +386,34 @@ def test_missing_predecessor_error_type():
         assert issubclass(exc_type, RuntimeError)
 
 
-# Hand-made level-2 monomials, which no crystal gives, for _build's own checks
-A, B = mp("2|-"), mp("1|1")
-POSITION = {A: 0, B: 1}
-
-
-def _monomial(label, other, c):
-    return FockVector((0, 0), {label: ONE, other: c})
+# Hand-made level-2 monomials, which no crystal gives, for _build's own
+# checks; _build works on keys, and LABEL names them in its messages
+A, B, C = mp("2|-"), mp("1|1"), mp("-|2")
+LABEL = {3: A, 2: C, 1: B}
 
 
 def test_a_dependency_cycle_raises_order_violation():
     # each carries the other with a bar-symmetric coefficient, so neither
     # can be reduced first
-    avectors = {A: _monomial(A, B, poly((-1, 1), (1, 1))), B: _monomial(B, A, ONE)}
+    monomials = {3: {3: ONE, 1: poly((-1, 1), (1, 1))}, 1: {1: ONE, 3: ONE}}
     with pytest.raises(OrderViolation) as info:
-        fockdec.canonical._build(A, avectors, POSITION, {}, {}, [])
+        fockdec.canonical._build(3, monomials, LABEL, {}, {}, [])
     assert str(info.value) == "basis vectors depend on each other: 2|- <- 1|1 <- 2|-"
 
 
 def test_an_offender_that_is_no_label_raises_missing_predecessor():
-    avectors = {A: _monomial(A, B, ONE)}
+    monomials = {3: {3: ONE, 1: ONE}}
     with pytest.raises(MissingPredecessor) as info:
-        fockdec.canonical._build(A, avectors, POSITION, {}, {}, [])
+        fockdec.canonical._build(3, monomials, LABEL, {}, {}, [])
     assert str(info.value) == "no crystal vertex at 1|1"
+
+
+def test_offenders_are_cleared_greatest_key_first():
+    # subtracting the greatest offender's vector also clears the lesser
+    # offender, which is no vertex: taken first, it would raise
+    # MissingPredecessor
+    m = poly((-1, 1), (1, 1))
+    monomials = {1: {1: ONE, 2: poly((0, 1), (2, 1)), 3: m}, 3: {3: ONE, 2: poly((1, 1))}}
+    corrections = {}
+    assert fockdec.canonical._build(1, monomials, LABEL, {}, corrections, []) == {1: ONE}
+    assert corrections[1] == {3: m}

@@ -511,14 +511,14 @@ def test_internal_failures_exit_one_with_one_line(capsys, monkeypatch):
             assert err == f"fockdec: {exc_type.__name__}: first line\n"
 
 
-# every elimination step made to subtract nothing, so the reduction of the
-# first vertex with an offender never clears it, then the CLI run
+# every elimination step of canonical_basis made to subtract nothing, so
+# the reduction of the first vertex with an offender never clears it, then
+# the CLI run
 SUBTRACT_NOTHING = """
 import sys
-from fockdec import cli
-from fockdec.fock import FockVector
+from fockdec import canonical, cli
 
-FockVector.sub_scaled = lambda self, other, m: self
+canonical.subtract_scaled = lambda out, other, m: None
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -569,6 +569,9 @@ WRITES = {
     "crystal": ["crystal", "--e", "2", "--charge", "0,0", "--rank", "3"],
     "factorize": ["factorize", "--e", "3", "--charge", "0,1,2", "--rank", "6"],
     "order": ["order", "--left", "2", "--right", "1.1", "--charge", "0"],
+    # the help goes through the same one write
+    "help": ["--help"],
+    "crystal-help": ["crystal", "--help"],
 }
 
 
@@ -618,6 +621,16 @@ def _closed_pipe(argv):
 def test_a_failed_write_exits_four_with_one_line(target, reason, cmd):
     proc = target([sys.executable, "-m", "fockdec", *WRITES[cmd]])
     assert (proc.returncode, proc.stderr) == (4, f"fockdec: cannot write output: {reason}\n")
+
+
+def test_help_is_written_whole_with_exit_zero():
+    for argv in (["--help"], ["crystal", "--help"]):
+        proc = subprocess.run([sys.executable, "-m", "fockdec", *argv],
+                              capture_output=True, text=True, env=BUFFERED)
+        parser = fockdec.cli.build_parser()
+        if argv[0] == "crystal":
+            parser = parser._subparsers._group_actions[0].choices["crystal"]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, parser.format_help(), "")
 
 
 # a stage that sends its own process SIGINT, then the CLI run

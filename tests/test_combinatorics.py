@@ -426,3 +426,8 @@ def test_enumeration_fixtures():
     # the level is the charge's: a level-1 charge gives no level-2 output
     assert {len(m) for m in enumerate_multipartitions(3, (0,))} == {1}
     assert {len(m) for m in enumerate_multipartitions(3, (5, -1))} == {2}
+
+
+def test_an_empty_charge_is_refused():
+    with pytest.raises(ValueError, match="empty charge"):
+        enumerate_multipartitions(2, ())

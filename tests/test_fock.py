@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockdec.combinatorics import enumerate_multipartitions, parse_multipartition
-from fockdec.fock import FockVector, basis_vector
+import fockdec.fock
+import fockdec.reference
+from fockdec.combinatorics import (
+    bead_layout,
+    enumerate_multipartitions,
+    gamma_keys,
+    gamma_lex_sorted,
+    parse_multipartition,
+    rank,
+)
+from fockdec.fock import FockVector
 from fockdec.laurent import ONE, ZERO, LaurentPoly
 from fockdec.reference import (
     InvalidPair,
@@ -19,6 +28,7 @@ from fockdec.reference import (
     apply_f,
     apply_f_divided,
     apply_t,
+    basis_vector,
     check_compatibility,
     compatibility_rhs_f,
     count_N,
@@ -286,3 +296,42 @@ def test_fused_step_is_the_scaled_difference(case):
     # vector + is itself a sub_scaled call, so x is also checked entry by entry
     for mu in set(g.entries) | set(rest.entries):
         assert x.coeff(mu) == g.coeff(mu) * m + rest.coeff(mu)
+
+
+# -- the bead-mask kernel against the i_nodes scan -------------------------
+
+
+@st.composite
+def bead_layout_cases(draw):
+    """(e, charge, n, lam, i, u): level 1-4, charges in -3..3 or 10**7
+    apart (disjoint windows), lam of rank below the layout's rank n."""
+    level = draw(st.integers(1, 4))
+    spread = draw(st.sampled_from((0, 10**7)))
+    charge = tuple(
+        spread * draw(st.integers(-1, 1)) + draw(st.integers(-3, 3)) for _ in range(level)
+    )
+    n = draw(st.integers(1, (6, 5, 4, 3)[level - 1]))
+    lam = draw(st.sampled_from(enumerate_multipartitions(draw(st.integers(0, n - 1)), charge)))
+    e = draw(st.sampled_from((2, 3, 4, 5, None)))
+    if e is None:
+        i = draw(st.sampled_from(charge)) + draw(st.integers(-4, 4))
+    else:
+        i = draw(st.integers(0, e - 1))
+    return e, charge, n, lam, i, draw(st.integers(0, 3))
+
+
+@given(bead_layout_cases())
+@settings(max_examples=300, deadline=None)
+def test_mask_scan_lists_the_nodes_and_exponents_of_i_nodes(case):
+    e, charge, n, lam, i, u = case
+    _, masks = bead_layout(charge, n, e)
+    key = gamma_keys([lam], charge, n)[lam]
+    got = fockdec.fock._bead_moves(key, len(charge), masks.get(i, 0), u)
+    # the tuple kernel: i_nodes' addable nodes in node order, add_boxes
+    want = fockdec.reference._moves(lam, charge, e, i, u)
+    keys = gamma_keys([mu for mu, _ in want], charge, n)
+    assert got == [(keys[mu], k) for mu, k in want]
+    # the layer's masks in this layout sort as gamma_lex_sorted does
+    layer = enumerate_multipartitions(rank(lam), charge)
+    keys = gamma_keys(layer, charge, n)
+    assert sorted(layer, key=keys.__getitem__, reverse=True) == gamma_lex_sorted(layer, charge)
